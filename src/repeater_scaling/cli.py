@@ -178,6 +178,8 @@ def _cmd_purify_curve(args) -> int:
     err = ErrorParams(eps_g=args.eps_g, eps_r=args.eps_r)
     if args.iterations < 1:
         raise ValueError("--iterations must be >= 1")
+    if args.points < 2:
+        raise ValueError("--points must be >= 2")
     if not 0.25 < args.f_min < args.f_max <= 1.0:
         raise ValueError("need 0.25 < --f-min < --f-max <= 1")
     header = ["f"] + [f"f_after_{k}" for k in range(1, args.iterations + 1)]

@@ -91,9 +91,20 @@ class PurifyResult(NamedTuple):
     p_accept: float
 
 
-def _check_fidelity(value, lower: float = 0.0, name: str = "fidelity") -> None:
+def _outside(value, lower: float) -> bool:
+    """True when some value lies at or below ``lower`` or above 1; NaN passes.
+
+    Floats (``np.float64`` included) are compared directly: wrapping each
+    scalar in a 0-d array would cost more than the map it guards.
+    """
+    if isinstance(value, float):
+        return value <= lower or value > 1.0
     arr = np.asarray(value)
-    if np.any(arr <= lower) or np.any(arr > 1.0):
+    return bool(np.any(arr <= lower) or np.any(arr > 1.0))
+
+
+def _check_fidelity(value, lower: float = 0.0, name: str = "fidelity") -> None:
+    if _outside(value, lower):
         raise ValueError(f"{name} must lie in ({lower}, 1], got {value}")
 
 
@@ -102,6 +113,14 @@ def _clamp_unit(value):
 
     Excursions beyond CLAMP_TOLERANCE are never silently absorbed.
     """
+    if isinstance(value, float):
+        high = value - 1.0
+        if high > 0.0:
+            if high > CLAMP_TOLERANCE:
+                raise ValueError(f"fidelity {value} exceeds 1 beyond tolerance")
+            warnings.warn("fidelity clamped to 1.0", FidelityClampWarning, stacklevel=3)
+            return 1.0
+        return value
     arr = np.asarray(value)
     high = arr - 1.0
     if np.any(high > 0.0):
@@ -182,8 +201,7 @@ def swap_fidelity(fidelity, n_links: int, err: ErrorParams, absorbed: bool = Tru
     """
     if n_links < 2:
         raise ValueError(f"swapping joins at least 2 links, got {n_links}")
-    arr = np.asarray(fidelity)
-    if np.any(arr <= 0.25) or np.any(arr > 1.0):
+    if _outside(fidelity, 0.25):
         raise ValueError(f"swap input fidelity must lie in (1/4, 1], got {fidelity}")
     if absorbed:
         eta_s = err.eta_s

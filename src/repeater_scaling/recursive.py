@@ -6,8 +6,11 @@ fidelity up to the target.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .exceptions import InfeasibleError, NonConvergenceError
 from .fixed_points import feasible_for, find_fixed_points
@@ -102,18 +105,50 @@ def _iterate_steps(f0: float, ft: float, err: ErrorParams) -> list[TraceStep]:
     return steps
 
 
-def _result_from_steps(steps: list[TraceStep], ps: float) -> ScalingResult:
-    prod = 1.0
-    for step in steps:
-        prod *= step.p_accept
-    pairs = 2.0 ** len(steps) / (ps ** len(steps) * prod)
+def _pairs(step_count: int, prod: float, ps: float) -> float:
+    # ``step_count`` must be a Python int: ``ps ** np.int64`` rounds differently.
+    return 2.0**step_count / (ps**step_count * prod)
+
+
+def _scaling_result(step_count: int, pairs: float) -> ScalingResult:
     return ScalingResult(
         feasible=True,
         method="recursive",
-        steps=len(steps),
+        steps=step_count,
         pairs_per_level=pairs,
         exponent=math.log2(pairs) + 1.0,
     )
+
+
+def _lockstep_traces(f0: np.ndarray, ft: np.ndarray, err: ErrorParams):
+    """Step counts and acceptance products of the traces from each ``f0`` to its ``ft``.
+
+    All traces advance together, one array ``purify`` call per round.  Each
+    element goes through the same float operations, in the same order, as in
+    ``_iterate_steps``, so the counts and products match it bit for bit.
+    """
+    f = f0.copy()
+    steps = np.zeros(f.shape, dtype=np.int64)
+    prod = np.ones(f.shape)
+    active = np.flatnonzero(f < ft)
+    rounds = 0
+    while active.size:
+        if rounds >= MAX_TRACE_STEPS:
+            raise NonConvergenceError("purification trace exceeded step limit")
+        f_next, p_accept = purify(f[active], err)
+        f[active] = f_next
+        prod[active] *= p_accept
+        steps[active] += 1
+        active = active[f_next < ft[active]]
+        rounds += 1
+    return steps.tolist(), prod.tolist()
+
+
+def _result_from_steps(steps: Sequence[TraceStep], ps: float) -> ScalingResult:
+    prod = 1.0
+    for step in steps:
+        prod *= step.p_accept
+    return _scaling_result(len(steps), _pairs(len(steps), prod, ps))
 
 
 def purification_trace(params: ProtocolParams) -> PurificationTrace:
@@ -130,11 +165,7 @@ def purification_trace(params: ProtocolParams) -> PurificationTrace:
 
 def pairs_per_level(params: ProtocolParams) -> float:
     """Expected pairs consumed per purified link of one nesting level."""
-    trace = purification_trace(params)
-    prod = 1.0
-    for step in trace.steps:
-        prod *= step.p_accept
-    return 2.0**trace.step_count / (params.ps**trace.step_count * prod)
+    return _result_from_steps(purification_trace(params).steps, params.ps).pairs_per_level
 
 
 def resource_exponent(params: ProtocolParams) -> ScalingResult:
@@ -143,7 +174,7 @@ def resource_exponent(params: ProtocolParams) -> ScalingResult:
         trace = purification_trace(params)
     except InfeasibleError:
         return ScalingResult(feasible=False, method="recursive")
-    return _result_from_steps(list(trace.steps), params.ps)
+    return _result_from_steps(trace.steps, params.ps)
 
 
 def optimal_recursive_exponent(
@@ -177,18 +208,23 @@ def optimal_recursive_exponent(
         raise InfeasibleError("feasible target window is empty")
 
     def scan(a: float, b: float, n: int) -> tuple[float, ScalingResult]:
-        best_ft, best = None, None
+        targets, starts = [], []
         for i in range(n):
             ft = a + (b - a) * i / (n - 1)
+            # Scalar swap on purpose: the array path squares with x*x, the
+            # float path with pow(), and the two differ in the last bit.
             f0 = float(swap_fidelity(ft, 2, err))
-            if not fps.lower < f0 < ft:
-                continue
-            result = _result_from_steps(_iterate_steps(f0, ft, err), ps)
-            if best is None or result.exponent < best.exponent:
-                best_ft, best = ft, result
-        if best is None:
+            if fps.lower < f0 < ft:
+                targets.append(ft)
+                starts.append(f0)
+        if not targets:
             raise InfeasibleError("no feasible target fidelity in the scan window")
-        return best_ft, best
+        step_counts, prods = _lockstep_traces(np.array(starts), np.array(targets), err)
+        pairs = [_pairs(k, prod, ps) for k, prod in zip(step_counts, prods)]
+        exponents = [math.log2(p) + 1.0 for p in pairs]
+        # min() keeps the first of equal minima, like a strict-less-than scan.
+        best = min(range(len(targets)), key=exponents.__getitem__)
+        return targets[best], _scaling_result(step_counts[best], pairs[best])
 
     coarse_ft, _ = scan(lo, hi, grid)
     cell = (hi - lo) / (grid - 1)

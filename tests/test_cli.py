@@ -216,8 +216,27 @@ class TestSimulateCommand:
         assert sum(int(line.split(",")[1]) for line in lines[1:]) == 200
 
 
+class TestPurifyCurveCommand:
+    def test_two_points_span_the_range(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "purify-curve", "--eps-g", "0.01", "--eps-r", "0.01", "--points", "2",
+        )
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert [float(row["f"]) for row in rows] == [0.3, 1.0]
+
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_fewer_than_two_points_is_usage_error(self, capsys, points):
+        code, out, err = run_cli(
+            capsys, "purify-curve", "--eps-g", "0.01", "--eps-r", "0.01", "--points", points,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--points" in err
+
+
 class TestDeterminismAndUsage:
-    def test_byte_identical_reruns(self, capsys):
+    def test_byte_identical_reruns(self, capsys, tmp_path):
         outputs = []
         for _ in range(2):
             _, out, _ = run_cli(
@@ -227,12 +246,14 @@ class TestDeterminismAndUsage:
             outputs.append(out)
         assert outputs[0] == outputs[1]
         sims = []
-        for _ in range(2):
+        for run in range(2):
+            hist = tmp_path / f"hist-{run}.csv"
             _, out, _ = run_cli(
                 capsys, "simulate", "--levels", "1", "--eps-g", "0.01",
                 "--eps-r", "0.01", "--trials", "100", "--seed", "5",
+                "--hist-out", str(hist),
             )
-            sims.append(out)
+            sims.append((out, hist.read_bytes()))
         assert sims[0] == sims[1]
 
     def test_unknown_flag_is_usage_error(self, capsys):

@@ -224,14 +224,73 @@ class TestDecay:
             decay(0.9, -1.0, 1.0)
 
 
+# Floats take a plain-Python path through the range checks and the clamp;
+# everything else goes through numpy.  Both must behave the same.
+INPUT_KINDS = pytest.mark.parametrize(
+    "kind",
+    [float, np.float64, np.array, lambda v: np.array([v])],
+    ids=["float", "float64", "array0d", "array1d"],
+)
+
+
 class TestClamp:
-    def test_small_excursion_clamped_with_warning(self):
+    @INPUT_KINDS
+    def test_small_excursion_clamped_with_warning(self, kind):
+        value = kind(1.0 + 1e-12)
         with pytest.warns(FidelityClampWarning):
-            assert _clamp_unit(1.0 + 1e-12) == 1.0
+            out = _clamp_unit(value)
+        assert np.ndim(out) == (1 if np.ndim(value) else 0)
+        assert np.all(out == 1.0)
 
-    def test_large_excursion_raises(self):
-        with pytest.raises(ValueError):
-            _clamp_unit(1.0 + 1e-6)
+    @INPUT_KINDS
+    def test_large_excursion_raises(self, kind):
+        with pytest.raises(ValueError, match="exceeds 1 beyond tolerance"):
+            _clamp_unit(kind(1.0 + 1e-6))
 
-    def test_in_range_untouched(self):
-        assert _clamp_unit(0.73) == 0.73
+    @INPUT_KINDS
+    @pytest.mark.parametrize("value", [0.73, 1.0])
+    def test_in_range_untouched(self, kind, value):
+        wrapped = kind(value)
+        assert _clamp_unit(wrapped) is wrapped
+
+    @INPUT_KINDS
+    def test_nan_passes_through(self, kind):
+        wrapped = kind(math.nan)
+        assert _clamp_unit(wrapped) is wrapped
+
+
+class TestRangeChecks:
+    @INPUT_KINDS
+    @pytest.mark.parametrize("value", [1e-300, 0.25, 0.5, 1.0])
+    def test_in_range_accepted(self, kind, value):
+        out = purify_ideal(kind(value))
+        assert float(np.ravel(out)[0]) == pytest.approx(ideal_map(value), abs=1e-12)
+        assert float(np.ravel(decay(kind(value), 0.0, 1.0))[0]) == value
+
+    @INPUT_KINDS
+    @pytest.mark.parametrize("value", [0.0, -0.1, 1.0 + 1e-15, 1.5, math.inf, -math.inf])
+    def test_out_of_range_rejected(self, kind, value):
+        for check in (purify_ideal, lambda f: purify(f, ZERO), lambda f: decay(f, 0.0, 1.0)):
+            with pytest.raises(ValueError, match=r"^fidelity must lie in \(0\.0, 1\], got "):
+                check(kind(value))
+
+    @INPUT_KINDS
+    @pytest.mark.parametrize("value", [0.25, 0.0, 1.0 + 1e-15, math.inf])
+    def test_swap_out_of_range_rejected(self, kind, value):
+        with pytest.raises(ValueError, match=r"^swap input fidelity must lie in \(1/4, 1\], got "):
+            swap_fidelity(kind(value), 2, ZERO)
+
+    @INPUT_KINDS
+    def test_swap_in_range_accepted(self, kind):
+        for value in (0.25 + 1e-12, 0.9, 1.0):
+            x = (4.0 * value - 1.0) / 3.0
+            expected = 0.25 * (1.0 + 3.0 * x * x)
+            out = swap_fidelity(kind(value), 2, ZERO)
+            assert float(np.ravel(out)[0]) == pytest.approx(expected, rel=1e-15)
+
+    @INPUT_KINDS
+    def test_nan_is_not_rejected(self, kind):
+        # np.any over a NaN comparison is False, so NaN passes every check
+        for out in (purify_ideal(kind(math.nan)), purify(kind(math.nan), ZERO).fidelity,
+                    swap_fidelity(kind(math.nan), 2, ZERO), decay(kind(math.nan), 0.0, 1.0)):
+            assert np.all(np.isnan(out))

@@ -80,6 +80,12 @@ class TestSimulate:
         assert report.analytic_total == pytest.approx(expected, rel=1e-12)
         assert abs(report.mean_consumed - expected) <= 4.0 * report.std_error
 
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_analytic_total_is_exact_recursive_cost(self, levels):
+        config = self._config(levels, trials=10)
+        expected = (2.0 * pairs_per_level(config.params)) ** levels
+        assert simulate(config).analytic_total == expected
+
     def test_every_trial_consumes_at_least_two_per_level(self):
         for levels in (1, 2):
             report = simulate(self._config(levels, trials=300))

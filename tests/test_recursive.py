@@ -1,14 +1,18 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from repeater_scaling.analytic import optimal_target_fidelity
 from repeater_scaling.exceptions import InfeasibleError
+from repeater_scaling.fixed_points import find_fixed_points
 from repeater_scaling.maps import ErrorParams, purify, swap_fidelity
+from repeater_scaling.platforms import default_platforms_path, load_platforms
 from repeater_scaling.recursive import (
     ProtocolParams,
     TraceStep,
+    _iterate_steps,
     _result_from_steps,
     entanglement_rate,
     optimal_recursive_exponent,
@@ -148,6 +152,92 @@ class TestOptimalRecursiveExponent:
     def test_infeasible_errors_raise(self):
         with pytest.raises(InfeasibleError):
             optimal_recursive_exponent(ErrorParams(eps_g=0.05, eps_r=0.05))
+
+
+def scalar_scan(err, ps=1.0, grid=512):
+    # The target scan as one scalar trace per target, kept as the oracle of
+    # the lock-step array scan: same window, same grid, first strict minimum.
+    fps = find_fixed_points(err)
+    if not fps.feasible:
+        raise InfeasibleError("no purification fixed points for these errors")
+    margin = 1e-4
+    lo, hi = fps.lower + margin, fps.upper - margin
+    if lo >= hi or swap_fidelity(hi, 2, err) <= fps.lower:
+        raise InfeasibleError("swapping drops every target below the lower fixed point")
+    if swap_fidelity(lo, 2, err) <= fps.lower:
+        swap_lo, swap_hi = lo, hi
+        while swap_hi - swap_lo > 1e-12:
+            mid = 0.5 * (swap_lo + swap_hi)
+            if swap_fidelity(mid, 2, err) <= fps.lower:
+                swap_lo = mid
+            else:
+                swap_hi = mid
+        lo = swap_hi + margin
+    if lo >= hi:
+        raise InfeasibleError("feasible target window is empty")
+
+    def scan(a, b, n):
+        best_ft, best = None, None
+        for i in range(n):
+            ft = a + (b - a) * i / (n - 1)
+            f0 = float(swap_fidelity(ft, 2, err))
+            if not fps.lower < f0 < ft:
+                continue
+            result = _result_from_steps(_iterate_steps(f0, ft, err), ps)
+            if best is None or result.exponent < best.exponent:
+                best_ft, best = ft, result
+        if best is None:
+            raise InfeasibleError("no feasible target fidelity in the scan window")
+        return best_ft, best
+
+    coarse_ft, _ = scan(lo, hi, grid)
+    cell = (hi - lo) / (grid - 1)
+    return scan(max(lo, coarse_ft - cell), min(hi, coarse_ft + cell), grid)
+
+
+def _exactness_cases():
+    cases = [
+        pytest.param(p.eps_g, p.eps_r, 1.0, id=p.name.replace(" ", "-"))
+        for p in load_platforms(default_platforms_path())
+    ]
+    rng = random.Random(20241014)
+    for i in range(24):
+        eps_g = 10 ** rng.uniform(-4.0, math.log10(2.4e-2))
+        eps_r = rng.uniform(0.0, 1.2e-2)
+        for ps in (1.0, 0.8) if i % 3 == 0 else (1.0,):
+            cases.append(pytest.param(eps_g, eps_r, ps, id=f"seeded{i}-ps{ps}"))
+    for i, (eps_g, eps_r) in enumerate(
+        [(0.02, 0.004), (0.021, 0.0), (0.022, 0.002), (0.023, 0.0), (0.024, 0.001)]
+    ):
+        for ps in (1.0, 0.8):
+            cases.append(pytest.param(eps_g, eps_r, ps, id=f"threshold{i}-ps{ps}"))
+    return cases
+
+
+class TestLockstepScanExactness:
+    @pytest.mark.parametrize("eps_g, eps_r, ps", _exactness_cases())
+    def test_identical_to_scalar_scan(self, eps_g, eps_r, ps):
+        err = ErrorParams(eps_g=eps_g, eps_r=eps_r)
+        try:
+            expected = scalar_scan(err, ps)
+        except InfeasibleError as exc:
+            with pytest.raises(InfeasibleError, match=str(exc)):
+                optimal_recursive_exponent(err, ps)
+        else:
+            got = optimal_recursive_exponent(err, ps)
+            assert got == expected
+            # repr also tells a numpy scalar from a Python int or float
+            assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "eps_g, eps_r",
+        [(0.05, 0.05), (0.03, 0.0), (0.025, 0.012), (0.0222, 0.012)],
+    )
+    def test_infeasible_still_raises(self, eps_g, eps_r):
+        err = ErrorParams(eps_g=eps_g, eps_r=eps_r)
+        for search in (scalar_scan, optimal_recursive_exponent):
+            with pytest.raises(InfeasibleError):
+                search(err)
 
 
 class TestTotalResourcesAndRate:
