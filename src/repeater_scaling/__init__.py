@@ -16,6 +16,7 @@ from .analytic import (
     optimal_target_fidelity,
     small_error_exponent,
     steps_estimate,
+    window_exponent,
 )
 from .bell import BellDiagState, apply_pauli, purify_pair, swap_pair
 from .exceptions import FidelityClampWarning, InfeasibleError, NonConvergenceError
@@ -25,14 +26,13 @@ from .fixed_points import (
     find_fixed_points,
     gate_error_threshold,
     protocol_feasible,
+    target_window,
 )
 from .maps import (
-    DepolarizingGateParams,
     ErrorParams,
     PurifyResult,
     decay,
     purify,
-    purify_depolarizing,
     purify_ideal,
     swap_fidelity,
 )
@@ -67,6 +67,7 @@ from .recursive import (
     pairs_per_level,
     purification_trace,
     resource_exponent,
+    scaling_from_steps,
     total_resources,
 )
 

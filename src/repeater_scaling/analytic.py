@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .exceptions import InfeasibleError
-from .fixed_points import BOUNDARY_PAD, find_fixed_points
+from .fixed_points import feasible_for, target_window
 from .maps import ErrorParams, purify, swap_fidelity
 from .recursive import ScalingResult
 
@@ -23,6 +23,7 @@ __all__ = [
     "steps_estimate",
     "acceptance_geomean",
     "exponent_estimate",
+    "window_exponent",
     "optimal_target_fidelity",
     "small_error_exponent",
     "minimize_exponent",
@@ -49,6 +50,11 @@ class AnalyticOptions:
             raise ValueError(f"unknown integral_mode {self.integral_mode!r}")
         if not 0.0 < self.quad_tol <= 1e-6:
             raise ValueError(f"quad_tol must lie in (0, 1e-6], got {self.quad_tol}")
+
+    @property
+    def method(self) -> str:
+        """The ``ScalingResult.method`` label of estimates made with these options."""
+        return "analytic" if self.integral_mode == QUADRATURE else "analytic-closed-form"
 
 
 DEFAULT_OPTIONS = AnalyticOptions()
@@ -79,12 +85,7 @@ def adaptive_simpson(func, lower: float, upper: float, tol: float = 1e-10) -> fl
 def _require_window(f0: float, ft: float, err: ErrorParams) -> None:
     if not f0 < ft:
         raise ValueError(f"expected f0 < ft, got f0={f0}, ft={ft}")
-    fps = find_fixed_points(err)
-    if not (
-        fps.feasible
-        and fps.lower + BOUNDARY_PAD < f0
-        and ft < fps.upper - BOUNDARY_PAD
-    ):
+    if not feasible_for(f0, ft, err):
         raise InfeasibleError(
             f"({f0}, {ft}) is not strictly inside the purification fixed points"
         )
@@ -220,13 +221,37 @@ def exponent_estimate(
     opts: AnalyticOptions = DEFAULT_OPTIONS,
 ) -> ScalingResult:
     """Non-recursive resource exponent for one nesting level; infeasibility in-band."""
-    method = "analytic" if opts.integral_mode == QUADRATURE else "analytic-closed-form"
     try:
         steps = steps_estimate(f0, ft, err, opts)
         geomean = acceptance_geomean(f0, ft, err, opts)
     except InfeasibleError:
-        return ScalingResult(feasible=False, method=method)
-    return _exponent_from_parts(steps, geomean, ps, method)
+        return ScalingResult(feasible=False, method=opts.method)
+    return _exponent_from_parts(steps, geomean, ps, opts.method)
+
+
+def window_exponent(
+    f0: float,
+    ft: float,
+    err: ErrorParams,
+    ps: float = 1.0,
+    opts: AnalyticOptions = DEFAULT_OPTIONS,
+) -> ScalingResult:
+    """Non-recursive exponent from the two interval averages over [f0, ft].
+
+    Unlike :func:`exponent_estimate`, the window is not checked against the
+    fixed points: the averages are taken wherever ``f0 < ft``, and a mean gain
+    that is not positive is reported as an infeasible result.
+    """
+    if not f0 < ft:
+        raise ValueError(f"expected f0 < ft, got f0={f0}, ft={ft}")
+    gain = _average_gain_raw(f0, ft, err, opts)
+    if not gain > 0.0:
+        return ScalingResult(feasible=False, method=opts.method)
+    steps = (ft - f0) / gain
+    if opts.use_ceiling:
+        steps = math.ceil(steps)
+    geomean = _acceptance_geomean_raw(f0, ft, err, opts)
+    return _exponent_from_parts(steps, geomean, ps, opts.method)
 
 
 # --- optimal target fidelity -------------------------------------------------
@@ -273,28 +298,6 @@ def small_error_exponent(eps_g: float) -> float:
 # --- numerical minimisation over the target fidelity -------------------------
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-FT_MARGIN = 1e-4
-
-
-def _feasible_target_window(err: ErrorParams) -> tuple[float, float]:
-    fps = find_fixed_points(err)
-    if not fps.feasible:
-        raise InfeasibleError("no purification fixed points for these errors")
-    lo, hi = fps.lower + FT_MARGIN, fps.upper - FT_MARGIN
-    if lo >= hi or swap_fidelity(hi, 2, err) <= fps.lower:
-        raise InfeasibleError("no target fidelity survives the swap for these errors")
-    if swap_fidelity(lo, 2, err) <= fps.lower:
-        a, b = lo, hi
-        while b - a > 1e-12:
-            mid = 0.5 * (a + b)
-            if swap_fidelity(mid, 2, err) <= fps.lower:
-                a = mid
-            else:
-                b = mid
-        lo = b + FT_MARGIN
-    if lo >= hi:
-        raise InfeasibleError("feasible target window is empty")
-    return lo, hi
 
 
 def minimize_exponent(
@@ -310,16 +313,11 @@ def minimize_exponent(
     (the exponent diverges at both window ends), then golden-section search
     refines it to ``ft_tol``.
     """
-    lo, hi = _feasible_target_window(err)
-    method = "analytic" if opts.integral_mode == QUADRATURE else "analytic-closed-form"
+    lo, hi = target_window(err)
 
     def objective(ft: float) -> float:
-        f0 = float(swap_fidelity(ft, 2, err))
-        steps = (ft - f0) / _average_gain_raw(f0, ft, err, opts)
-        if opts.use_ceiling:
-            steps = math.ceil(steps)
-        geomean = _acceptance_geomean_raw(f0, ft, err, opts)
-        return steps * (1.0 - math.log2(ps * geomean)) + 1.0
+        result = window_exponent(float(swap_fidelity(ft, 2, err)), ft, err, ps, opts)
+        return result.exponent if result.feasible else math.inf
 
     coarse = 64
     values = []
@@ -343,9 +341,4 @@ def minimize_exponent(
             x2 = a + _GOLDEN * (b - a)
             f2 = objective(x2)
     ft_best = 0.5 * (a + b)
-    f0_best = float(swap_fidelity(ft_best, 2, err))
-    steps = (ft_best - f0_best) / _average_gain_raw(f0_best, ft_best, err, opts)
-    if opts.use_ceiling:
-        steps = math.ceil(steps)
-    geomean = _acceptance_geomean_raw(f0_best, ft_best, err, opts)
-    return ft_best, _exponent_from_parts(steps, geomean, ps, method)
+    return ft_best, window_exponent(float(swap_fidelity(ft_best, 2, err)), ft_best, err, ps, opts)

@@ -19,10 +19,9 @@ from .analytic import (
     optimal_target_fidelity,
 )
 from .exceptions import InfeasibleError
-from .fixed_points import find_fixed_points
 from .maps import ErrorParams, purify, swap_fidelity
 from .mc import SimConfig, histogram_csv, simulate
-from .path_length import LinkBudget, max_path_length
+from .path_length import link_budget, max_path_length
 from .platforms import (
     SWEEP_QUANTITIES,
     SweepGrid,
@@ -200,17 +199,14 @@ def _cmd_lambda(args) -> int:
     err = ErrorParams(eps_g=args.eps_g, eps_r=args.eps_r)
     ft = _resolve_ft(args.ft, args.eps_g)
     f0 = float(swap_fidelity(ft, 2, err))
-    method = "recursive" if args.method == "recursive" else (
-        "analytic" if args.method == "analytic" else "analytic-closed-form")
+    opts = _analytic_options(args)
     if not f0 < ft:
+        method = "recursive" if args.method == "recursive" else opts.method
         result = ScalingResult(feasible=False, method=method)
     elif args.method == "recursive":
         result = resource_exponent(ProtocolParams(ft=ft, err=err, f0=f0, ps=args.ps))
     else:
-        try:
-            result = exponent_estimate(f0, ft, err, ps=args.ps, opts=_analytic_options(args))
-        except InfeasibleError:
-            result = ScalingResult(feasible=False, method=method)
+        result = exponent_estimate(f0, ft, err, ps=args.ps, opts=opts)
     header = ["eps_g", "eps_r", "ft", "f0", "method", "steps", "pairs_per_level",
               "lambda", "feasible"]
     rows = [[args.eps_g, args.eps_r, ft, f0, result.method, result.steps,
@@ -289,17 +285,10 @@ def _cmd_dstar(args) -> int:
     exponent = args.exponent
     d_star = None
     try:
-        fps = find_fixed_points(err)
-        if not fps.feasible:
-            raise InfeasibleError("no purification fixed points")
         if exponent is None:
             _, result = optimal_recursive_exponent(err)
             exponent = result.exponent
-        budget = LinkBudget(
-            rate_hz=args.rate, t2_s=args.t2, exponent=exponent,
-            ft_star=optimal_target_fidelity(args.eps_g),
-            f_lower=fps.lower, eta=err.eta,
-        )
+        budget = link_budget(err, args.rate, args.t2, exponent)
         d_star = max_path_length(budget, floored=args.floor)
     except (InfeasibleError, ValueError):
         feasible = False

@@ -1,5 +1,6 @@
 """Fixed points of the error-modelled purification map and feasibility tests."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,7 @@ __all__ = [
     "FixedPointResult",
     "find_fixed_points",
     "feasible_for",
+    "target_window",
     "protocol_feasible",
     "gate_error_threshold",
 ]
@@ -21,6 +23,12 @@ ROOT_TOL = 1e-12
 # Roots are located to ROOT_TOL; points this close to a root count as outside
 # the open interval between the fixed points.
 BOUNDARY_PAD = 1e-9
+# Targets stay this far inside the fixed points, and inside the swap limit.
+TARGET_MARGIN = 1e-4
+# Repeated solves come close together: within one platform row, sweep cell or
+# command, or across the quantities swept over one grid.  A small cache
+# catches them and keeps memory bounded on long sweeps.
+CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -56,16 +64,22 @@ def _bisect_root(lo: float, hi: float, g_lo: float, err: ErrorParams) -> float:
     return 0.5 * (lo + hi)
 
 
-def find_fixed_points(err: ErrorParams, scan_step: float = SCAN_STEP) -> FixedPointResult:
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def find_fixed_points(err: ErrorParams) -> FixedPointResult:
     """Locate the largest two solutions of ``purify(F) == F`` on (1/4, 1].
 
     The map is a ratio of quadratics in F, so the fixed-point equation is a
     cubic; a dense scan brackets every sign change and bisection refines each
     bracket.  Grid points that are exact zeros (the error-free map at 1/2 and
     1) are kept as roots directly.
+
+    The result is memoised on the (frozen, hashable) error parameters, so
+    callers solve again instead of passing the result around.  Residuals are
+    plain floats, whatever scalar type the errors hold, so a cached result
+    does not depend on which equal key filled the cache.
     """
-    lo = SCAN_LOWER + scan_step
-    count = int(round((1.0 - lo) / scan_step)) + 1
+    lo = SCAN_LOWER + SCAN_STEP
+    count = int(round((1.0 - lo) / SCAN_STEP)) + 1
     grid = np.linspace(lo, 1.0, count)
     gains = purify(grid, err).fidelity - grid
 
@@ -88,7 +102,7 @@ def find_fixed_points(err: ErrorParams, scan_step: float = SCAN_STEP) -> FixedPo
     if len(deduped) < 2:
         return FixedPointResult(feasible=False)
     lower, upper = deduped[-2], deduped[-1]
-    residuals = (abs(_gain(lower, err)), abs(_gain(upper, err)))
+    residuals = (abs(float(_gain(lower, err))), abs(float(_gain(upper, err))))
     return FixedPointResult(feasible=True, lower=lower, upper=upper, residuals=residuals)
 
 
@@ -105,6 +119,33 @@ def feasible_for(f0: float, ft: float, err: ErrorParams) -> bool:
     if not fps.feasible:
         return False
     return fps.lower + BOUNDARY_PAD < f0 and ft < fps.upper - BOUNDARY_PAD
+
+
+def target_window(err: ErrorParams) -> tuple[float, float]:
+    """Targets ``(lo, hi)`` whose two-link swap stays above the lower fixed point.
+
+    The window keeps TARGET_MARGIN inside both fixed points; where swapping
+    the lowest such target drops below the lower fixed point, the lower end
+    moves to the bisected swap limit plus the same margin.
+    """
+    fps = find_fixed_points(err)
+    if not fps.feasible:
+        raise InfeasibleError("no purification fixed points for these errors")
+    lo, hi = fps.lower + TARGET_MARGIN, fps.upper - TARGET_MARGIN
+    if lo >= hi or swap_fidelity(hi, 2, err) <= fps.lower:
+        raise InfeasibleError("swapping drops every target below the lower fixed point")
+    if swap_fidelity(lo, 2, err) <= fps.lower:
+        swap_lo, swap_hi = lo, hi
+        while swap_hi - swap_lo > 1e-12:
+            mid = 0.5 * (swap_lo + swap_hi)
+            if swap_fidelity(mid, 2, err) <= fps.lower:
+                swap_lo = mid
+            else:
+                swap_hi = mid
+        lo = swap_hi + TARGET_MARGIN
+    if lo >= hi:
+        raise InfeasibleError("feasible target window is empty")
+    return lo, hi
 
 
 def protocol_feasible(err: ErrorParams) -> bool:

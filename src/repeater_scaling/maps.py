@@ -15,11 +15,9 @@ from .exceptions import FidelityClampWarning
 
 __all__ = [
     "ErrorParams",
-    "DepolarizingGateParams",
     "PurifyResult",
     "purify_ideal",
     "purify",
-    "purify_depolarizing",
     "swap_fidelity",
     "decay",
 ]
@@ -66,24 +64,6 @@ class ErrorParams:
     def eta(self) -> float:
         """Read-out efficiency on the purification target qubits."""
         return 1.0 - self.eps_r
-
-
-@dataclass(frozen=True)
-class DepolarizingGateParams:
-    """Parameters of the reference purification map whose entangling gate is
-    modelled as ideal with probability ``p2`` and fully depolarising otherwise.
-    Kept as a standalone comparison; ``p2`` has no defined relation to
-    :class:`ErrorParams`.
-    """
-
-    eta: float = 1.0
-    p2: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p2 <= 1.0:
-            raise ValueError(f"p2 must be in (0, 1], got {self.p2}")
-        if not 0.5 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0.5, 1], got {self.eta}")
 
 
 class PurifyResult(NamedTuple):
@@ -171,25 +151,6 @@ def purify(fidelity, err: ErrorParams) -> PurifyResult:
     p_accept = (f * f + 2.0 * f * w + 5.0 * w * w) * meas_same + cross * 8.0 * meas_cross
     den = p_accept / ((1.0 - eps_g) * (1.0 - eps_g))
     return PurifyResult(_clamp_unit(num / den), p_accept)
-
-
-def purify_depolarizing(fidelity, gate: DepolarizingGateParams):
-    """Reference purification map with a depolarising entangling gate."""
-    _check_fidelity(fidelity)
-    f = fidelity
-    eta = gate.eta
-    p2sq = gate.p2 * gate.p2
-    w = (1.0 - f) / 3.0
-    meas_same = eta * eta + (1.0 - eta) * (1.0 - eta)
-    meas_cross = eta * (1.0 - eta)
-    cross = f * w + w * w
-    num = (f * f + w * w) * meas_same + cross * 2.0 * meas_cross + (1.0 - p2sq) / (8.0 * p2sq)
-    den = (
-        (f * f + 2.0 * f * w + 5.0 * w * w) * meas_same
-        + cross * 8.0 * meas_cross
-        + (1.0 - p2sq) / (2.0 * p2sq)
-    )
-    return _clamp_unit(num / den)
 
 
 def swap_fidelity(fidelity, n_links: int, err: ErrorParams, absorbed: bool = True):

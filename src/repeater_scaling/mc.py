@@ -18,7 +18,7 @@ from math import sqrt
 
 import numpy as np
 
-from .recursive import ProtocolParams, _result_from_steps, purification_trace
+from .recursive import ProtocolParams, purification_trace, scaling_from_steps
 
 __all__ = ["SimConfig", "SimReport", "simulate_counts", "simulate", "histogram_csv"]
 
@@ -109,7 +109,7 @@ def simulate(config: SimConfig) -> SimReport:
     counts, aborted = simulate_counts(
         config.levels, step_probs, config.params.ps, config.trials, config.seed
     )
-    pairs = _result_from_steps(trace.steps, config.params.ps).pairs_per_level
+    pairs = scaling_from_steps(trace.steps, config.params.ps).pairs_per_level
     analytic_total = (2.0 * pairs) ** config.levels
     if counts:
         mean = sum(counts) / len(counts)

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .analytic import optimal_target_fidelity
+from .exceptions import InfeasibleError
 from .fixed_points import find_fixed_points
 from .maps import ErrorParams, decay
 
@@ -53,10 +54,14 @@ class LinkBudget:
 
 
 def link_budget(err: ErrorParams, rate_hz: float, t2_s: float, exponent: float) -> LinkBudget:
-    """Assemble a budget from error rates: fixed point, optimal target, read-out."""
+    """Assemble a budget from error rates: fixed point, optimal target, read-out.
+
+    The only place a budget is built from error rates; raises
+    :class:`InfeasibleError` when the map has no fixed points.
+    """
     fps = find_fixed_points(err)
     if not fps.feasible:
-        raise ValueError("no purification fixed points for these errors")
+        raise InfeasibleError("no purification fixed points for these errors")
     return LinkBudget(
         rate_hz=rate_hz,
         t2_s=t2_s,

@@ -8,16 +8,14 @@ from pathlib import Path
 from .analytic import (
     AnalyticOptions,
     DEFAULT_OPTIONS,
-    _acceptance_geomean_raw,
-    _average_gain_raw,
-    _exponent_from_parts,
     exponent_estimate,
     optimal_target_fidelity,
+    window_exponent,
 )
 from .exceptions import InfeasibleError
 from .fixed_points import find_fixed_points
 from .maps import ErrorParams, swap_fidelity
-from .path_length import LinkBudget, max_path_length
+from .path_length import link_budget, max_path_length
 from .recursive import ProtocolParams, optimal_recursive_exponent, resource_exponent
 
 __all__ = [
@@ -221,29 +219,16 @@ def evaluate_platform(platform: Platform, opts: AnalyticOptions = DEFAULT_OPTION
     err = platform.errors
     try:
         ft = optimal_target_fidelity(platform.eps_g)
-        fps = find_fixed_points(err)
-        if not (fps.feasible and fps.lower < ft < fps.upper):
-            return PlatformRow(platform=platform, feasible=False)
         f0 = float(swap_fidelity(ft, 2, err))
-        if not fps.lower < f0:
-            return PlatformRow(platform=platform, feasible=False)
+        # Both estimates check the window against the fixed points.
         tilde = exponent_estimate(f0, ft, err, opts=opts)
         recursive = resource_exponent(ProtocolParams(ft=ft, err=err, f0=f0))
-        _, recursive_opt = optimal_recursive_exponent(err)
         if not (tilde.feasible and recursive.feasible):
             return PlatformRow(platform=platform, feasible=False)
+        _, recursive_opt = optimal_recursive_exponent(err)
 
         def d_star_for(exponent: float) -> float:
-            return max_path_length(
-                LinkBudget(
-                    rate_hz=platform.rate_hz,
-                    t2_s=platform.t2_s,
-                    exponent=exponent,
-                    ft_star=ft,
-                    f_lower=fps.lower,
-                    eta=err.eta,
-                )
-            )
+            return max_path_length(link_budget(err, platform.rate_hz, platform.t2_s, exponent))
 
         d_star = d_star_for(recursive.exponent)
         d_star_opt = d_star_for(recursive_opt.exponent)
@@ -268,51 +253,33 @@ def evaluate_all(platforms: list[Platform], opts: AnalyticOptions = DEFAULT_OPTI
 def _sweep_cell(quantity: str, eps_r: float, eps_g: float, grid: SweepGrid,
                 opts: AnalyticOptions) -> SweepCell:
     err = ErrorParams(eps_g=eps_g, eps_r=eps_r)
+    infeasible = SweepCell(eps_r, eps_g, None, False)
     try:
         ft = optimal_target_fidelity(eps_g)
-        f0 = float(swap_fidelity(ft, 2, err)) if ft > 0.25 else None
-
-        if quantity in ("lambda-tilde", "dstar"):
+        if quantity == "ft-star":
+            fps = find_fixed_points(err)
+            if not (fps.feasible and fps.lower < ft < fps.upper):
+                return infeasible
+            return SweepCell(eps_r, eps_g, ft, True)
+        f0 = float(swap_fidelity(ft, 2, err))
+        if quantity == "lambda":
+            # The trace checks the window against the fixed points.
+            result = resource_exponent(ProtocolParams(ft=ft, err=err, f0=f0))
+        else:
             # Surface-plot convention: evaluate the interval averages over the
             # swap-tied window regardless of the fixed points and classify the
             # cell by the sign of the resulting step count.
-            if f0 is None or not f0 < ft:
-                return SweepCell(eps_r, eps_g, None, False)
-            gain = _average_gain_raw(f0, ft, err, opts)
-            if not gain > 0.0:
-                return SweepCell(eps_r, eps_g, None, False)
-            steps = (ft - f0) / gain
-            geomean = _acceptance_geomean_raw(f0, ft, err, opts)
-            result = _exponent_from_parts(steps, geomean, 1.0, "analytic")
-            if quantity == "lambda-tilde":
-                return SweepCell(eps_r, eps_g, result.exponent, True)
-            fps = find_fixed_points(err)
-            if not fps.feasible:
-                return SweepCell(eps_r, eps_g, None, False)
-            budget = LinkBudget(
-                rate_hz=grid.rate_hz,
-                t2_s=grid.t2_s,
-                exponent=result.exponent,
-                ft_star=ft,
-                f_lower=fps.lower,
-                eta=err.eta,
-            )
-            return SweepCell(eps_r, eps_g, max_path_length(budget), True)
-
-        # Trace-backed quantities need the target inside the fixed-point window.
-        fps = find_fixed_points(err)
-        if not (fps.feasible and fps.lower < ft < fps.upper):
-            return SweepCell(eps_r, eps_g, None, False)
-        if quantity == "ft-star":
-            return SweepCell(eps_r, eps_g, ft, True)
-        if not fps.lower < f0:
-            return SweepCell(eps_r, eps_g, None, False)
-        result = resource_exponent(ProtocolParams(ft=ft, err=err, f0=f0))
+            if not f0 < ft:
+                return infeasible
+            result = window_exponent(f0, ft, err, opts=opts)
+            if result.feasible and quantity == "dstar":
+                budget = link_budget(err, grid.rate_hz, grid.t2_s, result.exponent)
+                return SweepCell(eps_r, eps_g, max_path_length(budget), True)
         if not result.feasible:
-            return SweepCell(eps_r, eps_g, None, False)
+            return infeasible
         return SweepCell(eps_r, eps_g, result.exponent, True)
     except (InfeasibleError, ValueError):
-        return SweepCell(eps_r, eps_g, None, False)
+        return infeasible
 
 
 def sweep(grid: SweepGrid, opts: AnalyticOptions = DEFAULT_OPTIONS) -> list[SweepCell]:

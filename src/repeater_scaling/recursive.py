@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InfeasibleError, NonConvergenceError
-from .fixed_points import feasible_for, find_fixed_points
+from .fixed_points import feasible_for, find_fixed_points, target_window
 from .maps import ErrorParams, purify, swap_fidelity
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "ScalingResult",
     "purification_trace",
     "pairs_per_level",
+    "scaling_from_steps",
     "resource_exponent",
     "optimal_recursive_exponent",
     "total_resources",
@@ -144,7 +145,8 @@ def _lockstep_traces(f0: np.ndarray, ft: np.ndarray, err: ErrorParams):
     return steps.tolist(), prod.tolist()
 
 
-def _result_from_steps(steps: Sequence[TraceStep], ps: float) -> ScalingResult:
+def scaling_from_steps(steps: Sequence[TraceStep], ps: float) -> ScalingResult:
+    """Resource scaling of a purification trace: its step count and acceptance product."""
     prod = 1.0
     for step in steps:
         prod *= step.p_accept
@@ -165,7 +167,7 @@ def purification_trace(params: ProtocolParams) -> PurificationTrace:
 
 def pairs_per_level(params: ProtocolParams) -> float:
     """Expected pairs consumed per purified link of one nesting level."""
-    return _result_from_steps(purification_trace(params).steps, params.ps).pairs_per_level
+    return scaling_from_steps(purification_trace(params).steps, params.ps).pairs_per_level
 
 
 def resource_exponent(params: ProtocolParams) -> ScalingResult:
@@ -174,7 +176,7 @@ def resource_exponent(params: ProtocolParams) -> ScalingResult:
         trace = purification_trace(params)
     except InfeasibleError:
         return ScalingResult(feasible=False, method="recursive")
-    return _result_from_steps(trace.steps, params.ps)
+    return scaling_from_steps(trace.steps, params.ps)
 
 
 def optimal_recursive_exponent(
@@ -187,25 +189,8 @@ def optimal_recursive_exponent(
     the feasible target window is.  At larger errors the minimum can sit far
     from the closed-form optimal target.
     """
-    fps = find_fixed_points(err)
-    if not fps.feasible:
-        raise InfeasibleError("no purification fixed points for these errors")
-    margin = 1e-4
-    lo, hi = fps.lower + margin, fps.upper - margin
-    if lo >= hi or swap_fidelity(hi, 2, err) <= fps.lower:
-        raise InfeasibleError("swapping drops every target below the lower fixed point")
-    # Restrict to targets whose post-swap fidelity is still purifiable.
-    if swap_fidelity(lo, 2, err) <= fps.lower:
-        swap_lo, swap_hi = lo, hi
-        while swap_hi - swap_lo > 1e-12:
-            mid = 0.5 * (swap_lo + swap_hi)
-            if swap_fidelity(mid, 2, err) <= fps.lower:
-                swap_lo = mid
-            else:
-                swap_hi = mid
-        lo = swap_hi + margin
-    if lo >= hi:
-        raise InfeasibleError("feasible target window is empty")
+    lo, hi = target_window(err)
+    f_lower = find_fixed_points(err).lower
 
     def scan(a: float, b: float, n: int) -> tuple[float, ScalingResult]:
         targets, starts = [], []
@@ -214,7 +199,7 @@ def optimal_recursive_exponent(
             # Scalar swap on purpose: the array path squares with x*x, the
             # float path with pow(), and the two differ in the last bit.
             f0 = float(swap_fidelity(ft, 2, err))
-            if fps.lower < f0 < ft:
+            if f_lower < f0 < ft:
                 targets.append(ft)
                 starts.append(f0)
         if not targets:

@@ -14,6 +14,7 @@ from repeater_scaling.analytic import (
     optimal_target_fidelity,
     small_error_exponent,
     steps_estimate,
+    window_exponent,
 )
 from repeater_scaling.exceptions import InfeasibleError
 from repeater_scaling.fixed_points import find_fixed_points
@@ -157,6 +158,32 @@ class TestExponentEstimate:
             recursive = resource_exponent(ProtocolParams(ft=ft, err=err, f0=f0))
             assert tilde.feasible and recursive.feasible
             assert abs(tilde.exponent - recursive.exponent) <= 1.0
+
+
+class TestWindowExponent:
+    @pytest.mark.parametrize(
+        "opts",
+        [AnalyticOptions(), CLOSED, AnalyticOptions(use_ceiling=True, integral_mode=CLOSED_FORM)],
+    )
+    def test_equals_checked_estimate_inside_the_fixed_points(self, opts):
+        err = ErrorParams(eps_g=0.005, eps_r=0.001)
+        ft = optimal_target_fidelity(0.005)
+        f0 = float(swap_fidelity(ft, 2, err))
+        for ps in (1.0, 0.8):
+            result = window_exponent(f0, ft, err, ps, opts)
+            assert result == exponent_estimate(f0, ft, err, ps, opts)
+            assert result.method == opts.method
+
+    def test_non_positive_gain_is_infeasible_in_band(self):
+        # below the lower fixed point (1/2) the error-free map loses fidelity
+        for opts in (AnalyticOptions(), CLOSED):
+            result = window_exponent(0.3, 0.45, ZERO, opts=opts)
+            assert not result.feasible and result.exponent is None
+            assert result.method == opts.method
+
+    def test_rejects_inverted_window(self):
+        with pytest.raises(ValueError):
+            window_exponent(0.9, 0.9, ZERO)
 
 
 class TestOptimalTarget:

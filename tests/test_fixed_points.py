@@ -1,14 +1,26 @@
+import random
+
 import numpy as np
 import pytest
 
+from repeater_scaling import cli
 from repeater_scaling.exceptions import InfeasibleError
 from repeater_scaling.fixed_points import (
+    TARGET_MARGIN,
     feasible_for,
     find_fixed_points,
     gate_error_threshold,
     protocol_feasible,
+    target_window,
 )
-from repeater_scaling.maps import ErrorParams, purify
+from repeater_scaling.maps import ErrorParams, purify, swap_fidelity
+from repeater_scaling.platforms import (
+    SweepGrid,
+    default_platforms_path,
+    evaluate_platform,
+    load_platforms,
+    sweep,
+)
 
 ZERO = ErrorParams()
 
@@ -110,3 +122,72 @@ def test_gate_error_threshold_decreases_with_readout_error():
 def test_gate_error_threshold_raises_when_never_feasible():
     with pytest.raises(InfeasibleError):
         gate_error_threshold(0.45)
+
+
+class TestTargetWindow:
+    def test_swap_of_every_target_stays_purifiable(self):
+        err = ErrorParams(eps_g=0.02, eps_r=0.004)
+        fps = find_fixed_points(err)
+        lo, hi = target_window(err)
+        assert fps.lower + TARGET_MARGIN <= lo < hi == fps.upper - TARGET_MARGIN
+        assert swap_fidelity(lo, 2, err) > fps.lower
+
+    def test_infeasible_errors_raise(self):
+        with pytest.raises(InfeasibleError, match="no purification fixed points"):
+            target_window(ErrorParams(eps_g=0.05, eps_r=0.05))
+
+
+def _cache_cases():
+    rng = random.Random(20241018)
+    cases = [(rng.uniform(0.0, 0.03), rng.uniform(0.0, 0.05)) for _ in range(12)]
+    cases += [(0.0, 0.0), (0.0, 0.02), (0.0, 0.045)]
+    # either side of the gate-error threshold at eps_r = 0 (about 0.02905)
+    cases += [(0.0290, 0.0), (0.02905, 0.0), (0.0291, 0.0), (0.0222, 0.012)]
+    return cases
+
+
+class TestCache:
+    @pytest.mark.parametrize("eps_g, eps_r", _cache_cases())
+    def test_cached_result_is_the_uncached_solve(self, eps_g, eps_r):
+        err = ErrorParams(eps_g=eps_g, eps_r=eps_r)
+        expected = find_fixed_points.__wrapped__(err)
+        for _ in range(2):
+            got = find_fixed_points(err)
+            assert got == expected
+            assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("eps_g, eps_r", [(0.01, 0.01), (0.0, 0.0), (0.0222, 0.012)])
+    def test_numpy_scalar_errors_share_the_entry(self, eps_g, eps_r):
+        # Equal errors hash equal whatever their scalar type, so a cached
+        # result may answer either; its repr must not tell them apart.
+        find_fixed_points(ErrorParams(eps_g=eps_g, eps_r=eps_r))
+        err = ErrorParams(eps_g=np.float64(eps_g), eps_r=np.float64(eps_r))
+        expected = find_fixed_points.__wrapped__(err)
+        assert find_fixed_points(err) == expected
+        assert repr(find_fixed_points(err)) == repr(expected)
+
+    def test_one_solve_per_platform_row(self):
+        for platform in load_platforms(default_platforms_path()):
+            find_fixed_points.cache_clear()
+            assert evaluate_platform(platform).feasible
+            assert find_fixed_points.cache_info().misses == 1
+
+    @pytest.mark.parametrize("quantities", [("lambda",), ("ft-star",),
+                                            ("lambda", "lambda-tilde", "ft-star", "dstar")])
+    def test_one_solve_per_sweep_cell(self, quantities):
+        # The grid crosses the gate-error threshold.
+        cells = None
+        find_fixed_points.cache_clear()
+        for quantity in quantities:
+            grid = SweepGrid(quantity, 0.0, 0.01, 3, 0.001, 0.04, 5, rate_hz=10.0, t2_s=1.0)
+            cells = sweep(grid)
+        assert any(c.feasible for c in cells) and not all(c.feasible for c in cells)
+        assert find_fixed_points.cache_info().misses == len(cells)
+
+    @pytest.mark.parametrize("extra", [[], ["--lambda", "4.06"]])
+    def test_one_solve_per_dstar_command(self, capsys, extra):
+        find_fixed_points.cache_clear()
+        argv = ["dstar", "--rate", "1", "--t2", "2.1", "--eps-g", "5e-4", "--eps-r", "1e-4"]
+        assert cli.main(argv + extra) == cli.EXIT_OK
+        assert capsys.readouterr().out.strip().endswith("true")
+        assert find_fixed_points.cache_info().misses == 1

@@ -5,12 +5,10 @@ import pytest
 
 from repeater_scaling.exceptions import FidelityClampWarning
 from repeater_scaling.maps import (
-    DepolarizingGateParams,
     ErrorParams,
     _clamp_unit,
     decay,
     purify,
-    purify_depolarizing,
     purify_ideal,
     swap_fidelity,
 )
@@ -130,32 +128,6 @@ class TestPurify:
                 for er in np.linspace(0.0, 0.05, 11)
             ]
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-
-
-class TestPurifyDepolarizing:
-    def test_error_free_limit_matches_ideal(self):
-        gate = DepolarizingGateParams(eta=1.0, p2=1.0)
-        assert float(purify_depolarizing(0.8, gate)) == pytest.approx(
-            float(purify_ideal(0.8)), abs=1e-15
-        )
-
-    def test_unit_fidelity_fixed_point(self):
-        assert float(purify_depolarizing(1.0, DepolarizingGateParams())) == pytest.approx(
-            1.0, abs=1e-15
-        )
-
-    def test_reference_value(self):
-        # direct evaluation of the map at eta=1, p2=0.99
-        gate = DepolarizingGateParams(eta=1.0, p2=0.99)
-        assert float(purify_depolarizing(0.8, gate)) == pytest.approx(
-            0.8304858435336552, abs=1e-12
-        )
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            DepolarizingGateParams(p2=0.0)
-        with pytest.raises(ValueError):
-            DepolarizingGateParams(eta=0.4)
 
 
 class TestSwapFidelity:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from repeater_scaling.exceptions import InfeasibleError
 from repeater_scaling.fixed_points import find_fixed_points
 from repeater_scaling.maps import ErrorParams
 from repeater_scaling.path_length import (
@@ -34,6 +35,10 @@ class TestLinkBudget:
         assert budget.f_lower == pytest.approx(fps.lower, abs=1e-12)
         assert budget.eta == pytest.approx(1.0 - 1e-4, abs=1e-15)
         assert 0.9 < budget.ft_star < 1.0
+
+    def test_builder_raises_infeasible_without_fixed_points(self):
+        with pytest.raises(InfeasibleError, match="no purification fixed points"):
+            link_budget(ErrorParams(eps_g=0.05, eps_r=0.05), 1.0, 2.1, 4.06)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,5 +1,6 @@
 import pytest
 
+from repeater_scaling.analytic import AnalyticOptions
 from repeater_scaling.platforms import (
     Platform,
     SweepGrid,
@@ -136,6 +137,18 @@ class TestSweep:
         feasible = [c for c in cells if c.feasible]
         assert feasible
         assert all(c.value >= 3.0 for c in feasible)
+
+    def test_step_ceiling_option_is_applied(self):
+        grid = SweepGrid(
+            quantity="lambda-tilde",
+            eps_r_start=0.0, eps_r_stop=0.01, eps_r_steps=3,
+            eps_g_start=0.001, eps_g_stop=0.01, eps_g_steps=4,
+        )
+        plain = sweep(grid)
+        ceiled = sweep(grid, AnalyticOptions(use_ceiling=True))
+        assert [c.feasible for c in ceiled] == [c.feasible for c in plain]
+        pairs = [(c.value, p.value) for c, p in zip(ceiled, plain) if c.feasible]
+        assert pairs and all(c > p for c, p in pairs)
 
     def test_beyond_threshold_is_infeasible(self):
         grid = SweepGrid(

@@ -13,12 +13,12 @@ from repeater_scaling.recursive import (
     ProtocolParams,
     TraceStep,
     _iterate_steps,
-    _result_from_steps,
     entanglement_rate,
     optimal_recursive_exponent,
     pairs_per_level,
     purification_trace,
     resource_exponent,
+    scaling_from_steps,
     total_resources,
 )
 
@@ -82,16 +82,16 @@ class TestPurificationTrace:
 class TestPairsPerLevel:
     def test_formula_arithmetic(self):
         steps = [TraceStep(0.7, 0.8, 0.8), TraceStep(0.8, 0.91, 0.9)]
-        result = _result_from_steps(steps, ps=1.0)
+        result = scaling_from_steps(steps, ps=1.0)
         assert result.pairs_per_level == pytest.approx(4.0 / 0.72, abs=1e-12)
 
     def test_unit_probabilities_give_power_of_two(self):
         steps = [TraceStep(0.7, 0.8, 1.0), TraceStep(0.8, 0.91, 1.0)]
-        assert _result_from_steps(steps, ps=1.0).pairs_per_level == pytest.approx(4.0)
+        assert scaling_from_steps(steps, ps=1.0).pairs_per_level == pytest.approx(4.0)
 
     def test_swap_probability_scales_cost(self):
         steps = [TraceStep(0.7, 0.8, 0.5)]
-        assert _result_from_steps(steps, ps=0.5).pairs_per_level == pytest.approx(8.0)
+        assert scaling_from_steps(steps, ps=0.5).pairs_per_level == pytest.approx(8.0)
 
     def test_matches_trace_product(self):
         params = ProtocolParams(ft=0.9, err=ZERO, f0=0.7)
@@ -183,7 +183,7 @@ def scalar_scan(err, ps=1.0, grid=512):
             f0 = float(swap_fidelity(ft, 2, err))
             if not fps.lower < f0 < ft:
                 continue
-            result = _result_from_steps(_iterate_steps(f0, ft, err), ps)
+            result = scaling_from_steps(_iterate_steps(f0, ft, err), ps)
             if best is None or result.exponent < best.exponent:
                 best_ft, best = ft, result
         if best is None:
