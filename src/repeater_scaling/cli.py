@@ -8,6 +8,7 @@ and a result is infeasible.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -89,6 +90,7 @@ def _ft_value(text: str):
         raise argparse.ArgumentTypeError(f"--ft expects a fidelity or 'auto', got {text!r}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repeater-scaling",

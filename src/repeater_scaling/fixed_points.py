@@ -69,9 +69,9 @@ def find_fixed_points(err: ErrorParams) -> FixedPointResult:
     """Locate the largest two solutions of ``purify(F) == F`` on (1/4, 1].
 
     The map is a ratio of quadratics in F, so the fixed-point equation is a
-    cubic; a dense scan brackets every sign change and bisection refines each
-    bracket.  Grid points that are exact zeros (the error-free map at 1/2 and
-    1) are kept as roots directly.
+    cubic; one array evaluation on a dense grid brackets every sign change
+    and bisection refines each bracket.  Grid points that are exact zeros
+    (F = 1 when eps_g = 0) are kept as roots directly.
 
     The result is memoised on the (frozen, hashable) error parameters, so
     callers solve again instead of passing the result around.  Residuals are
@@ -83,15 +83,12 @@ def find_fixed_points(err: ErrorParams) -> FixedPointResult:
     grid = np.linspace(lo, 1.0, count)
     gains = purify(grid, err).fidelity - grid
 
-    roots: list[float] = []
-    for i in range(count):
-        if gains[i] == 0.0:
-            roots.append(float(grid[i]))
-    for i in range(count - 1):
-        if gains[i] == 0.0 or gains[i + 1] == 0.0:
-            continue
-        if (gains[i] > 0.0) != (gains[i + 1] > 0.0):
-            roots.append(_bisect_root(float(grid[i]), float(grid[i + 1]), float(gains[i]), err))
+    zero = gains == 0.0
+    positive = gains > 0.0
+    crossing = (positive[:-1] != positive[1:]) & ~zero[:-1] & ~zero[1:]
+    roots = grid[zero].tolist()
+    for i in np.flatnonzero(crossing).tolist():
+        roots.append(_bisect_root(float(grid[i]), float(grid[i + 1]), float(gains[i]), err))
 
     roots.sort()
     deduped: list[float] = []

@@ -59,7 +59,8 @@ class SimReport:
     analytic_total: float
 
 
-def _trial_consumed(rng: np.random.Generator, step_probs, swap_prob: float, levels: int):
+# A string annotation, so that importing this module does not load numpy.random.
+def _trial_consumed(rng: "np.random.Generator", step_probs, swap_prob: float, levels: int):
     """Base pairs consumed by one trial; None when the trial is aborted."""
     demand = 1
     for _ in range(levels):

@@ -96,10 +96,10 @@ def max_path_length(budget: LinkBudget, floored: bool = False) -> float:
     """Longest path (in links) the budget sustains; real-valued unless floored."""
     ratio = (4.0 * budget.f_lower - 1.0) / (4.0 * budget.eta**2 - 1.0)
     if ratio < 0.0:
-        raise ValueError(f"negative radicand (4*f_lower - 1)/(4*eta^2 - 1) = {ratio}")
+        raise InfeasibleError(f"negative radicand (4*f_lower - 1)/(4*eta^2 - 1) = {ratio}")
     log_arg = (3.0 * math.sqrt(ratio) + 1.0) / (4.0 * budget.ft_star)
     if not 0.0 < log_arg < 1.0:
-        raise ValueError(f"logarithm argument {log_arg} outside (0, 1); no real path length")
+        raise InfeasibleError(f"logarithm argument {log_arg} outside (0, 1); no real path length")
     length = (budget.rate_hz * budget.t2_s * math.sqrt(-math.log(log_arg))) ** (
         1.0 / budget.exponent
     )

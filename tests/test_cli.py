@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repeater_scaling
 from repeater_scaling.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 
 
@@ -270,3 +274,60 @@ class TestDeterminismAndUsage:
         assert code == EXIT_OK
         assert out == ""
         assert target.read_text().startswith("eps_g,eps_r,ft_star")
+
+
+class TestParserReuse:
+    # Pairs where a flag or default leaking from the first call into the
+    # second would change the second's output or exit code.
+    SWEEP = ("sweep", "--quantity", "ft-star", "--eps-r", "0:0.01:2", "--eps-g", "0:0.04:3")
+    LAMBDA = ("lambda", "--eps-g", "5e-4", "--eps-r", "1e-4")
+    SEQUENCE = [
+        SWEEP + ("--clamp", "--out", "{tmp}/clamped.csv"),
+        SWEEP + ("--out", "{tmp}/plain.csv"),
+        SWEEP,
+        LAMBDA + ("--ceiling", "--strict"),
+        LAMBDA,
+        ("lambda", "--eps-g", "0.05", "--eps-r", "0.05", "--strict"),
+        ("lambda", "--eps-g", "0.05", "--eps-r", "0.05"),
+        ("sweep", "--quantity", "lambda", "--eps-r", "0:0.01", "--eps-g", "0:0.01:2"),
+        ("sweep", "--quantity", "lambda", "--eps-r", "0:0.01:2", "--eps-g", "0:0.01:2"),
+        ("--help",),
+    ]
+
+    def _run(self, capsys, tmp_path, order):
+        results = {}
+        for index in order:
+            argv = [arg.format(tmp=tmp_path) for arg in self.SEQUENCE[index]]
+            code, out, err = run_cli(capsys, *argv)
+            files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+            for p in tmp_path.iterdir():
+                p.unlink()
+            results[index] = (code, out, err, files)
+        return results
+
+    def test_each_call_is_independent_of_the_calls_before_it(self, capsys, tmp_path):
+        forward = self._run(capsys, tmp_path, range(len(self.SEQUENCE)))
+        backward = self._run(capsys, tmp_path, reversed(range(len(self.SEQUENCE))))
+        assert forward == backward
+        codes = [forward[i][0] for i in range(len(self.SEQUENCE))]
+        assert codes == [EXIT_OK] * 5 + [EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+        assert forward[0][3]["clamped.csv"] != forward[1][3]["plain.csv"]
+        assert forward[1][3]["plain.csv"].decode() == forward[2][1]
+        assert forward[3][1] != forward[4][1]
+        assert forward[9][1].startswith("usage: repeater-scaling")
+
+
+def test_only_simulate_loads_numpy_random():
+    # Importing the package must load no more of numpy than `import numpy`
+    # does; numpy.random comes in when a simulation draws its first number.
+    script = (
+        "import sys, numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "import repeater_scaling.cli, repeater_scaling\n"
+        "print(before, 'numpy.random' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(repeater_scaling.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["False", "False"]

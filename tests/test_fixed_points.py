@@ -6,7 +6,11 @@ import pytest
 from repeater_scaling import cli
 from repeater_scaling.exceptions import InfeasibleError
 from repeater_scaling.fixed_points import (
+    ROOT_TOL,
+    SCAN_LOWER,
+    SCAN_STEP,
     TARGET_MARGIN,
+    FixedPointResult,
     feasible_for,
     find_fixed_points,
     gate_error_threshold,
@@ -191,3 +195,87 @@ class TestCache:
         assert cli.main(argv + extra) == cli.EXIT_OK
         assert capsys.readouterr().out.strip().endswith("true")
         assert find_fixed_points.cache_info().misses == 1
+
+
+def _two_loop_scan(err):
+    """The element-by-element bracket scan the array scan replaced, kept as its oracle."""
+
+    def gain(f):
+        return purify(f, err).fidelity - f
+
+    def bisect(lo, hi, g_lo):
+        while hi - lo > ROOT_TOL:
+            mid = 0.5 * (lo + hi)
+            g_mid = gain(mid)
+            if g_mid == 0.0:
+                return mid
+            if (g_mid > 0.0) == (g_lo > 0.0):
+                lo, g_lo = mid, g_mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    lo = SCAN_LOWER + SCAN_STEP
+    count = int(round((1.0 - lo) / SCAN_STEP)) + 1
+    grid = np.linspace(lo, 1.0, count)
+    gains = purify(grid, err).fidelity - grid
+
+    roots = []
+    for i in range(count):
+        if gains[i] == 0.0:
+            roots.append(float(grid[i]))
+    for i in range(count - 1):
+        if gains[i] == 0.0 or gains[i + 1] == 0.0:
+            continue
+        if (gains[i] > 0.0) != (gains[i + 1] > 0.0):
+            roots.append(bisect(float(grid[i]), float(grid[i + 1]), float(gains[i])))
+
+    roots.sort()
+    deduped = []
+    for r in roots:
+        if not deduped or r - deduped[-1] > 1e-9:
+            deduped.append(r)
+
+    if len(deduped) < 2:
+        return FixedPointResult(feasible=False)
+    lower, upper = deduped[-2], deduped[-1]
+    residuals = (abs(float(gain(lower))), abs(float(gain(upper))))
+    return FixedPointResult(feasible=True, lower=lower, upper=upper, residuals=residuals)
+
+
+def _scan_mismatches(cases):
+    mismatches = []
+    for err in cases:
+        got, expected = find_fixed_points.__wrapped__(err), _two_loop_scan(err)
+        if got != expected or repr(got) != repr(expected):
+            mismatches.append((err, got, expected))
+    return mismatches
+
+
+class TestArrayScanIsTheTwoLoopScan:
+    def test_seeded_points(self):
+        rng = random.Random(7)
+        cases = [ErrorParams(eps_g=rng.uniform(0.0, 0.05), eps_r=rng.uniform(0.0, 0.012))
+                 for _ in range(2000)]
+        assert not _scan_mismatches(cases)
+        feasible = sum(find_fixed_points.__wrapped__(err).feasible for err in cases[:200])
+        assert 0 < feasible < 200
+
+    def test_exact_zeros_on_the_grid(self):
+        cases = [ErrorParams(eps_g=0.0, eps_r=float(er)) for er in np.linspace(0.0, 0.049, 15)]
+        # F = 1 is the last grid point and an exact zero of the error-free gate map.
+        assert all(_two_loop_scan(err).upper == 1.0 for err in cases)
+        assert not _scan_mismatches(cases)
+
+    def test_dense_band_around_the_threshold(self):
+        cases = [ErrorParams(eps_g=float(eg), eps_r=float(er))
+                 for eg in np.linspace(0.022, 0.030, 161)
+                 for er in (0.0, 0.002, 0.006)]
+        assert not _scan_mismatches(cases)
+
+    def test_numpy_scalar_errors(self):
+        rng = np.random.default_rng(11)
+        cases = [ErrorParams(eps_g=np.float64(eg), eps_r=np.float64(er))
+                 for eg, er in zip(rng.uniform(0.0, 0.05, 100), rng.uniform(0.0, 0.012, 100))]
+        cases.append(ErrorParams(eps_g=np.float64(0.0), eps_r=np.float64(0.0)))
+        assert not _scan_mismatches(cases)

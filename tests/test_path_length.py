@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -122,5 +123,13 @@ class TestMaxPathLength:
         impossible = LinkBudget(
             rate_hz=1.0, t2_s=1.0, exponent=4.0, ft_star=0.71, f_lower=0.7, eta=0.8
         )
-        with pytest.raises(ValueError, match="logarithm"):
+        with pytest.raises(InfeasibleError, match="logarithm"):
             max_path_length(impossible)
+
+    def test_negative_radicand_is_infeasible(self):
+        # LinkBudget's own checks keep the radicand positive, so only a
+        # hand-built budget reaches this guard.
+        negative = SimpleNamespace(rate_hz=1.0, t2_s=1.0, exponent=4.0, ft_star=0.9,
+                                   f_lower=0.2, eta=0.9)
+        with pytest.raises(InfeasibleError, match="negative radicand"):
+            max_path_length(negative)
