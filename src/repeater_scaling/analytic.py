@@ -31,6 +31,8 @@ __all__ = [
 
 QUADRATURE = "quadrature"
 CLOSED_FORM = "closed-form"
+# Absolute tolerance of the quadrature route.
+QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -43,13 +45,10 @@ class AnalyticOptions:
 
     use_ceiling: bool = False
     integral_mode: str = QUADRATURE
-    quad_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.integral_mode not in (QUADRATURE, CLOSED_FORM):
             raise ValueError(f"unknown integral_mode {self.integral_mode!r}")
-        if not 0.0 < self.quad_tol <= 1e-6:
-            raise ValueError(f"quad_tol must lie in (0, 1e-6], got {self.quad_tol}")
 
     @property
     def method(self) -> str:
@@ -160,7 +159,7 @@ def _average_gain_raw(f0, ft, err, opts: AnalyticOptions) -> float:
         integral = _gain_antiderivative(ft, err) - _gain_antiderivative(f0, err)
     else:
         integral = adaptive_simpson(
-            lambda f: purify(f, err).fidelity - f, f0, ft, opts.quad_tol
+            lambda f: purify(f, err).fidelity - f, f0, ft, QUAD_TOL
         )
     return integral / (ft - f0)
 
@@ -170,9 +169,12 @@ def _acceptance_geomean_raw(f0, ft, err, opts: AnalyticOptions) -> float:
         integral = _log_acceptance_integral(f0, ft, err.eps_r)
     else:
         integral = adaptive_simpson(
-            lambda f: math.log(purify(f, err).p_accept), f0, ft, opts.quad_tol
+            lambda f: math.log(purify(f, err).p_accept), f0, ft, QUAD_TOL
         )
-    return math.exp(integral / (ft - f0))
+    mean = math.exp(integral / (ft - f0))
+    if not 0.0 < mean <= 1.0:
+        raise ValueError(f"acceptance geometric mean left (0, 1]: {mean}")
+    return mean
 
 
 def average_gain(f0: float, ft: float, err: ErrorParams, opts: AnalyticOptions = DEFAULT_OPTIONS) -> float:
@@ -193,24 +195,7 @@ def steps_estimate(f0: float, ft: float, err: ErrorParams, opts: AnalyticOptions
 def acceptance_geomean(f0: float, ft: float, err: ErrorParams, opts: AnalyticOptions = DEFAULT_OPTIONS) -> float:
     """Geometric mean of the purification acceptance probability over the window."""
     _require_window(f0, ft, err)
-    mean = _acceptance_geomean_raw(f0, ft, err, opts)
-    if not 0.0 < mean <= 1.0:
-        raise ValueError(f"acceptance geometric mean left (0, 1]: {mean}")
-    return mean
-
-
-def _exponent_from_parts(steps: float, geomean: float, ps: float, method: str) -> ScalingResult:
-    # computed in log space: near the feasibility boundary the step count and
-    # with it the pair count blow up past the float range
-    log2_pairs = steps * (1.0 - math.log2(ps * geomean))
-    pairs = 2.0**log2_pairs if log2_pairs < 1000.0 else math.inf
-    return ScalingResult(
-        feasible=True,
-        method=method,
-        steps=steps,
-        pairs_per_level=pairs,
-        exponent=log2_pairs + 1.0,
-    )
+    return _acceptance_geomean_raw(f0, ft, err, opts)
 
 
 def exponent_estimate(
@@ -222,11 +207,10 @@ def exponent_estimate(
 ) -> ScalingResult:
     """Non-recursive resource exponent for one nesting level; infeasibility in-band."""
     try:
-        steps = steps_estimate(f0, ft, err, opts)
-        geomean = acceptance_geomean(f0, ft, err, opts)
+        _require_window(f0, ft, err)
     except InfeasibleError:
         return ScalingResult(feasible=False, method=opts.method)
-    return _exponent_from_parts(steps, geomean, ps, opts.method)
+    return window_exponent(f0, ft, err, ps, opts)
 
 
 def window_exponent(
@@ -240,7 +224,9 @@ def window_exponent(
 
     Unlike :func:`exponent_estimate`, the window is not checked against the
     fixed points: the averages are taken wherever ``f0 < ft``, and a mean gain
-    that is not positive is reported as an infeasible result.
+    that is not positive is reported as an infeasible result.  A geometric
+    mean acceptance outside (0, 1], a rounding artefact of the closed form on
+    very narrow windows, raises ``ValueError``.
     """
     if not f0 < ft:
         raise ValueError(f"expected f0 < ft, got f0={f0}, ft={ft}")
@@ -251,7 +237,17 @@ def window_exponent(
     if opts.use_ceiling:
         steps = math.ceil(steps)
     geomean = _acceptance_geomean_raw(f0, ft, err, opts)
-    return _exponent_from_parts(steps, geomean, ps, opts.method)
+    # computed in log space: near the feasibility boundary the step count and
+    # with it the pair count blow up past the float range
+    log2_pairs = steps * (1.0 - math.log2(ps * geomean))
+    pairs = 2.0**log2_pairs if log2_pairs < 1000.0 else math.inf
+    return ScalingResult(
+        feasible=True,
+        method=opts.method,
+        steps=steps,
+        pairs_per_level=pairs,
+        exponent=log2_pairs + 1.0,
+    )
 
 
 # --- optimal target fidelity -------------------------------------------------
@@ -268,8 +264,6 @@ def optimal_target_fidelity(eps_g: float, eps_r: float | None = None) -> float:
         raise ValueError(f"eps_g must be non-negative, got {eps_g}")
     if eps_r is None:
         radicand = eps_g**2 + 0.15 * eps_g
-        if radicand < 0.0:
-            raise ValueError("negative radicand in optimal target fidelity")
         return (-1.16 * eps_g - 4.28 * math.sqrt(radicand) + 1.9) / (2.66 * eps_g + 1.9)
     radicand = (
         0.04 * eps_g**2 * eps_r**2
@@ -298,20 +292,21 @@ def small_error_exponent(eps_g: float) -> float:
 # --- numerical minimisation over the target fidelity -------------------------
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section search stops once its bracket on the target is this narrow.
+FT_TOL = 1e-5
 
 
 def minimize_exponent(
     err: ErrorParams,
     ps: float = 1.0,
     opts: AnalyticOptions = DEFAULT_OPTIONS,
-    ft_tol: float = 1e-5,
 ) -> tuple[float, ScalingResult]:
     """Numerically minimise the non-recursive exponent over the target fidelity.
 
     The post-swap fidelity is tied to the target through the exact two-link
     swap, not its linear approximation.  A coarse scan brackets the minimum
     (the exponent diverges at both window ends), then golden-section search
-    refines it to ``ft_tol``.
+    refines it to FT_TOL.
     """
     lo, hi = target_window(err)
 
@@ -331,7 +326,7 @@ def minimize_exponent(
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = objective(x1), objective(x2)
-    while b - a > ft_tol:
+    while b - a > FT_TOL:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)

@@ -292,7 +292,7 @@ def _cmd_dstar(args) -> int:
             exponent = result.exponent
         budget = link_budget(err, args.rate, args.t2, exponent)
         d_star = max_path_length(budget, floored=args.floor)
-    except (InfeasibleError, ValueError):
+    except InfeasibleError:
         feasible = False
     _write_csv(
         ["rate_hz", "t2_s", "eps_g", "eps_r", "lambda", "d_star", "feasible"],

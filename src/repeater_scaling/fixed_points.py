@@ -29,6 +29,9 @@ TARGET_MARGIN = 1e-4
 # command, or across the quantities swept over one grid.  A small cache
 # catches them and keeps memory bounded on long sweeps.
 CACHE_SIZE = 256
+# No read-out error leaves two fixed points at this gate error, so the
+# threshold search brackets from below it.
+THRESHOLD_SEARCH_UPPER = 0.1
 
 
 @dataclass(frozen=True)
@@ -43,18 +46,13 @@ class FixedPointResult:
     feasible: bool
     lower: float | None = None
     upper: float | None = None
-    residuals: tuple[float, ...] = ()
-
-
-def _gain(f: float, err: ErrorParams) -> float:
-    return purify(f, err).fidelity - f
 
 
 def _bisect_root(lo: float, hi: float, g_lo: float, err: ErrorParams) -> float:
     # g changes sign on [lo, hi]; shrink the bracket below ROOT_TOL.
     while hi - lo > ROOT_TOL:
         mid = 0.5 * (lo + hi)
-        g_mid = _gain(mid, err)
+        g_mid = purify(mid, err).fidelity - mid
         if g_mid == 0.0:
             return mid
         if (g_mid > 0.0) == (g_lo > 0.0):
@@ -74,9 +72,7 @@ def find_fixed_points(err: ErrorParams) -> FixedPointResult:
     (F = 1 when eps_g = 0) are kept as roots directly.
 
     The result is memoised on the (frozen, hashable) error parameters, so
-    callers solve again instead of passing the result around.  Residuals are
-    plain floats, whatever scalar type the errors hold, so a cached result
-    does not depend on which equal key filled the cache.
+    callers solve again instead of passing the result around.
     """
     lo = SCAN_LOWER + SCAN_STEP
     count = int(round((1.0 - lo) / SCAN_STEP)) + 1
@@ -98,9 +94,7 @@ def find_fixed_points(err: ErrorParams) -> FixedPointResult:
 
     if len(deduped) < 2:
         return FixedPointResult(feasible=False)
-    lower, upper = deduped[-2], deduped[-1]
-    residuals = (abs(float(_gain(lower, err))), abs(float(_gain(upper, err))))
-    return FixedPointResult(feasible=True, lower=lower, upper=upper, residuals=residuals)
+    return FixedPointResult(feasible=True, lower=deduped[-2], upper=deduped[-1])
 
 
 def feasible_for(f0: float, ft: float, err: ErrorParams) -> bool:
@@ -157,7 +151,7 @@ def protocol_feasible(err: ErrorParams) -> bool:
     return swap_fidelity(fps.upper, 2, err) > fps.lower
 
 
-def gate_error_threshold(eps_r: float = 0.0, tol: float = 1e-4, upper: float = 0.1) -> float:
+def gate_error_threshold(eps_r: float = 0.0, tol: float = 1e-4) -> float:
     """Largest gate error (to ``tol``) for which purification fixed points exist.
 
     Bisects the feasible/infeasible classification of :func:`find_fixed_points`
@@ -166,9 +160,7 @@ def gate_error_threshold(eps_r: float = 0.0, tol: float = 1e-4, upper: float = 0
     lo = 0.0
     if not find_fixed_points(ErrorParams(eps_g=lo, eps_r=eps_r)).feasible:
         raise InfeasibleError(f"purification infeasible even at eps_g=0 for eps_r={eps_r}")
-    hi = upper
-    if find_fixed_points(ErrorParams(eps_g=hi, eps_r=eps_r)).feasible:
-        raise ValueError(f"still feasible at eps_g={hi}; raise the search bound")
+    hi = THRESHOLD_SEARCH_UPPER
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if find_fixed_points(ErrorParams(eps_g=mid, eps_r=eps_r)).feasible:

@@ -48,7 +48,7 @@ class LinkBudget:
         if self.exponent < 1.0:
             raise ValueError(f"exponent must be >= 1, got {self.exponent}")
         if not 0.5 < self.f_lower < self.ft_star <= 1.0:
-            raise ValueError("expected 1/2 < f_lower < ft_star <= 1")
+            raise InfeasibleError("expected 1/2 < f_lower < ft_star <= 1")
         if not 0.5 < self.eta <= 1.0:
             raise ValueError(f"eta must be in (0.5, 1], got {self.eta}")
 
@@ -56,8 +56,9 @@ class LinkBudget:
 def link_budget(err: ErrorParams, rate_hz: float, t2_s: float, exponent: float) -> LinkBudget:
     """Assemble a budget from error rates: fixed point, optimal target, read-out.
 
-    The only place a budget is built from error rates; raises
-    :class:`InfeasibleError` when the map has no fixed points.
+    The only place a budget is built from error rates.  Raises
+    :class:`InfeasibleError` when the map has no fixed points or when the
+    target does not lie above the lower one.
     """
     fps = find_fixed_points(err)
     if not fps.feasible:

@@ -126,8 +126,9 @@ class SweepGrid:
                 raise ValueError(f"{label} steps must be >= 2, got {steps}")
             if not 0.0 <= start <= stop <= 0.1:
                 raise ValueError(f"{label} range must satisfy 0 <= start <= stop <= 0.1")
-        if self.quantity == "dstar" and (self.rate_hz is None or self.t2_s is None):
-            raise ValueError("dstar sweeps need rate_hz and t2_s")
+        budget = (self.rate_hz, self.t2_s)
+        if self.quantity == "dstar" and (None in budget or min(budget) <= 0.0):
+            raise ValueError(f"dstar sweeps need positive rate_hz and t2_s, got {budget}")
 
     def eps_r_values(self) -> list[float]:
         return _linspace(self.eps_r_start, self.eps_r_stop, self.eps_r_steps)
@@ -158,8 +159,6 @@ def load_platforms(path) -> list[Platform]:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if raw == []:
-        return []
     if not isinstance(raw, list):
         raise ValueError(f"{path}: expected a JSON array of platform objects")
     platforms = []
@@ -208,7 +207,7 @@ def save_platforms(platforms: list[Platform], path) -> None:
     Path(path).write_text(dump_platforms(platforms), encoding="utf-8")
 
 
-def evaluate_platform(platform: Platform, opts: AnalyticOptions = DEFAULT_OPTIONS) -> PlatformRow:
+def evaluate_platform(platform: Platform) -> PlatformRow:
     """Derived figures of merit for one platform.
 
     The target fidelity comes from the closed-form optimum, the post-swap
@@ -221,7 +220,7 @@ def evaluate_platform(platform: Platform, opts: AnalyticOptions = DEFAULT_OPTION
         ft = optimal_target_fidelity(platform.eps_g)
         f0 = float(swap_fidelity(ft, 2, err))
         # Both estimates check the window against the fixed points.
-        tilde = exponent_estimate(f0, ft, err, opts=opts)
+        tilde = exponent_estimate(f0, ft, err)
         recursive = resource_exponent(ProtocolParams(ft=ft, err=err, f0=f0))
         if not (tilde.feasible and recursive.feasible):
             return PlatformRow(platform=platform, feasible=False)
@@ -246,8 +245,8 @@ def evaluate_platform(platform: Platform, opts: AnalyticOptions = DEFAULT_OPTION
     )
 
 
-def evaluate_all(platforms: list[Platform], opts: AnalyticOptions = DEFAULT_OPTIONS) -> list[PlatformRow]:
-    return [evaluate_platform(p, opts) for p in platforms]
+def evaluate_all(platforms: list[Platform]) -> list[PlatformRow]:
+    return [evaluate_platform(p) for p in platforms]
 
 
 def _sweep_cell(quantity: str, eps_r: float, eps_g: float, grid: SweepGrid,

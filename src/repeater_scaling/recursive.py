@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 MAX_TRACE_STEPS = 10**6
+# Targets per stage of the two-stage scan in optimal_recursive_exponent.
+SCAN_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -179,9 +181,7 @@ def resource_exponent(params: ProtocolParams) -> ScalingResult:
     return scaling_from_steps(trace.steps, params.ps)
 
 
-def optimal_recursive_exponent(
-    err: ErrorParams, ps: float = 1.0, grid: int = 512
-) -> tuple[float, ScalingResult]:
+def optimal_recursive_exponent(err: ErrorParams, ps: float = 1.0) -> tuple[float, ScalingResult]:
     """Target fidelity minimising the recursive exponent, by two-stage grid scan.
 
     The recursive exponent is piecewise in the target fidelity (the step count
@@ -211,9 +211,9 @@ def optimal_recursive_exponent(
         best = min(range(len(targets)), key=exponents.__getitem__)
         return targets[best], _scaling_result(step_counts[best], pairs[best])
 
-    coarse_ft, _ = scan(lo, hi, grid)
-    cell = (hi - lo) / (grid - 1)
-    return scan(max(lo, coarse_ft - cell), min(hi, coarse_ft + cell), grid)
+    coarse_ft, _ = scan(lo, hi, SCAN_POINTS)
+    cell = (hi - lo) / (SCAN_POINTS - 1)
+    return scan(max(lo, coarse_ft - cell), min(hi, coarse_ft + cell), SCAN_POINTS)
 
 
 def total_resources(path_links: float, exponent: float) -> float:

@@ -19,7 +19,8 @@ from repeater_scaling.analytic import (
 from repeater_scaling.exceptions import InfeasibleError
 from repeater_scaling.fixed_points import find_fixed_points
 from repeater_scaling.maps import ErrorParams, purify, swap_fidelity
-from repeater_scaling.recursive import ProtocolParams, resource_exponent
+from repeater_scaling.platforms import default_platforms_path, load_platforms
+from repeater_scaling.recursive import ProtocolParams, ScalingResult, resource_exponent
 
 ZERO = ErrorParams()
 CLOSED = AnalyticOptions(integral_mode=CLOSED_FORM)
@@ -166,13 +167,19 @@ class TestWindowExponent:
         [AnalyticOptions(), CLOSED, AnalyticOptions(use_ceiling=True, integral_mode=CLOSED_FORM)],
     )
     def test_equals_checked_estimate_inside_the_fixed_points(self, opts):
-        err = ErrorParams(eps_g=0.005, eps_r=0.001)
-        ft = optimal_target_fidelity(0.005)
-        f0 = float(swap_fidelity(ft, 2, err))
+        errors = [ErrorParams(eps_g=0.005, eps_r=0.001)]
+        errors += [p.errors for p in load_platforms(default_platforms_path())]
+        for err in errors:
+            ft = optimal_target_fidelity(err.eps_g)
+            f0 = float(swap_fidelity(ft, 2, err))
+            for ps in (1.0, 0.8):
+                result = window_exponent(f0, ft, err, ps, opts)
+                assert result.feasible and result.method == opts.method
+                assert result == exponent_estimate(f0, ft, err, ps, opts)
+        # below the lower fixed point (1/2) the checked estimate stays in-band
         for ps in (1.0, 0.8):
-            result = window_exponent(f0, ft, err, ps, opts)
-            assert result == exponent_estimate(f0, ft, err, ps, opts)
-            assert result.method == opts.method
+            result = exponent_estimate(0.3, 0.45, ZERO, ps, opts)
+            assert result == ScalingResult(feasible=False, method=opts.method)
 
     def test_non_positive_gain_is_infeasible_in_band(self):
         # below the lower fixed point (1/2) the error-free map loses fidelity
@@ -184,6 +191,14 @@ class TestWindowExponent:
     def test_rejects_inverted_window(self):
         with pytest.raises(ValueError):
             window_exponent(0.9, 0.9, ZERO)
+
+    def test_closed_form_acceptance_above_one_raises(self):
+        # on a window this narrow the closed form cancels to a mean above 1
+        ft = 0.9999999938908686
+        f0 = float(swap_fidelity(ft, 2, ZERO))
+        for estimate in (window_exponent, exponent_estimate):
+            with pytest.raises(ValueError, match="geometric mean"):
+                estimate(f0, ft, ZERO, opts=CLOSED)
 
 
 class TestOptimalTarget:

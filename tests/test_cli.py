@@ -194,6 +194,21 @@ class TestDstarCommand:
         _, rows = parse_csv(out)
         assert rows[0]["feasible"] == "false"
 
+    @pytest.mark.parametrize("eps_g,eps_r", [("0", "0"), ("0.028", "0.001"), ("0.05", "0.05")])
+    def test_domain_failures_are_infeasible(self, capsys, eps_g, eps_r):
+        argv = ("dstar", "--rate", "10", "--t2", "1", "--eps-g", eps_g, "--eps-r", eps_r)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert parse_csv(out)[1][0]["feasible"] == "false"
+        assert run_cli(capsys, *argv, "--strict")[0] == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize("bad", [("--rate", "-1", "--t2", "1"), ("--rate", "1", "--t2", "0"),
+                                     ("--rate", "1", "--t2", "1", "--lambda", "0.5")])
+    def test_bad_inputs_are_usage_errors(self, capsys, bad):
+        code, out, err = run_cli(capsys, "dstar", *bad, "--eps-g", "5e-4", "--eps-r", "1e-4")
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error:")
+
 
 class TestSimulateCommand:
     ARGS = ("simulate", "--levels", "1", "--eps-g", "0.01", "--eps-r", "0.01",

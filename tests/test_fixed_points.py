@@ -44,9 +44,8 @@ def test_root_residuals(eps_g, eps_r):
     err = ErrorParams(eps_g=eps_g, eps_r=eps_r)
     fps = find_fixed_points(err)
     assert fps.feasible
-    for root, residual in zip((fps.lower, fps.upper), fps.residuals):
+    for root in (fps.lower, fps.upper):
         assert abs(float(purify(root, err).fidelity) - root) <= 1e-10
-        assert residual <= 1e-10
     assert 0.5 - 1e-10 <= fps.lower < fps.upper <= 1.0 + 1e-12
 
 
@@ -238,9 +237,7 @@ def _two_loop_scan(err):
 
     if len(deduped) < 2:
         return FixedPointResult(feasible=False)
-    lower, upper = deduped[-2], deduped[-1]
-    residuals = (abs(float(gain(lower))), abs(float(gain(upper))))
-    return FixedPointResult(feasible=True, lower=lower, upper=upper, residuals=residuals)
+    return FixedPointResult(feasible=True, lower=deduped[-2], upper=deduped[-1])
 
 
 def _scan_mismatches(cases):

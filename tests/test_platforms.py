@@ -202,12 +202,14 @@ class TestSweep:
         assert all(c.feasible and 0.5 < c.value < 1.0 for c in cells)
 
     def test_dstar_quantity_requires_budget(self):
-        with pytest.raises(ValueError, match="rate_hz"):
-            SweepGrid(
-                quantity="dstar",
-                eps_r_start=0.0, eps_r_stop=0.0, eps_r_steps=2,
-                eps_g_start=0.001, eps_g_stop=0.005, eps_g_steps=2,
-            )
+        for rate_hz in (None, -1.0):
+            with pytest.raises(ValueError, match="rate_hz"):
+                SweepGrid(
+                    quantity="dstar",
+                    eps_r_start=0.0, eps_r_stop=0.0, eps_r_steps=2,
+                    eps_g_start=0.001, eps_g_stop=0.005, eps_g_steps=2,
+                    rate_hz=rate_hz, t2_s=1.0,
+                )
         grid = SweepGrid(
             quantity="dstar",
             eps_r_start=1e-4, eps_r_stop=1e-4, eps_r_steps=2,
