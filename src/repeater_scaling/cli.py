@@ -22,7 +22,7 @@ from .analytic import (
 from .exceptions import InfeasibleError
 from .maps import ErrorParams, purify, swap_fidelity
 from .mc import SimConfig, histogram_csv, simulate
-from .path_length import link_budget, max_path_length
+from .path_length import check_budget_inputs, link_budget, max_path_length
 from .platforms import (
     SWEEP_QUANTITIES,
     SweepGrid,
@@ -283,6 +283,8 @@ def _cmd_platforms(args) -> int:
 
 def _cmd_dstar(args) -> int:
     err = ErrorParams(eps_g=args.eps_g, eps_r=args.eps_r)
+    # Before any solve, so bad arguments never read as an infeasible row.
+    check_budget_inputs(args.rate, args.t2, args.exponent)
     feasible = True
     exponent = args.exponent
     d_star = None

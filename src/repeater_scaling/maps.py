@@ -159,6 +159,7 @@ def swap_fidelity(fidelity, n_links: int, err: ErrorParams, absorbed: bool = Tru
     With ``absorbed=True`` the gate errors of the Bell-state measurements are
     absorbed into the swap read-out efficiency ``eta_s``; otherwise the gate
     error enters explicitly alongside the purification read-out efficiency.
+    An array gives the same bits as a float call per element.
     """
     if n_links < 2:
         raise ValueError(f"swapping joins at least 2 links, got {n_links}")
@@ -171,7 +172,13 @@ def swap_fidelity(fidelity, n_links: int, err: ErrorParams, absorbed: bool = Tru
         eta = err.eta
         link_factor = (1.0 - err.eps_g) ** 3 * (4.0 * eta * eta - 1.0) / 3.0
     x = (4.0 * fidelity - 1.0) / 3.0
-    return _clamp_unit(0.25 * (1.0 + 3.0 * link_factor ** (n_links - 1) * x**n_links))
+    if isinstance(x, float):
+        x_n = x**n_links
+    else:
+        # Python's pow per element: numpy squares with x*x and takes higher
+        # powers from its own loops, which round unlike pow() on floats.
+        x_n = np.array([v**n_links for v in x.ravel().tolist()]).reshape(x.shape)
+    return _clamp_unit(0.25 * (1.0 + 3.0 * link_factor ** (n_links - 1) * x_n))
 
 
 def decay(fidelity, elapsed_s, t2_s):

@@ -14,12 +14,23 @@ from .fixed_points import find_fixed_points
 from .maps import ErrorParams, decay
 
 __all__ = [
+    "check_budget_inputs",
     "LinkBudget",
     "link_budget",
     "swap_after_decay",
     "within_decoherence_budget",
     "max_path_length",
 ]
+
+
+def check_budget_inputs(rate_hz: float, t2_s: float, exponent: float | None = None) -> None:
+    """Reject a non-positive rate or coherence time, or an exponent below 1."""
+    if rate_hz <= 0.0:
+        raise ValueError(f"rate_hz must be positive, got {rate_hz}")
+    if t2_s <= 0.0:
+        raise ValueError(f"t2_s must be positive, got {t2_s}")
+    if exponent is not None and exponent < 1.0:
+        raise ValueError(f"exponent must be >= 1, got {exponent}")
 
 
 @dataclass(frozen=True)
@@ -41,12 +52,7 @@ class LinkBudget:
     eta: float
 
     def __post_init__(self) -> None:
-        if self.rate_hz <= 0.0:
-            raise ValueError(f"rate_hz must be positive, got {self.rate_hz}")
-        if self.t2_s <= 0.0:
-            raise ValueError(f"t2_s must be positive, got {self.t2_s}")
-        if self.exponent < 1.0:
-            raise ValueError(f"exponent must be >= 1, got {self.exponent}")
+        check_budget_inputs(self.rate_hz, self.t2_s, self.exponent)
         if not 0.5 < self.f_lower < self.ft_star <= 1.0:
             raise InfeasibleError("expected 1/2 < f_lower < ft_star <= 1")
         if not 0.5 < self.eta <= 1.0:

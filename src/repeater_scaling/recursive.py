@@ -108,43 +108,44 @@ def _iterate_steps(f0: float, ft: float, err: ErrorParams) -> list[TraceStep]:
     return steps
 
 
-def _pairs(step_count: int, prod: float, ps: float) -> float:
+def _pairs(step_count: int, prod: float | np.ndarray, ps: float) -> float | np.ndarray:
     # ``step_count`` must be a Python int: ``ps ** np.int64`` rounds differently.
     return 2.0**step_count / (ps**step_count * prod)
 
 
-def _scaling_result(step_count: int, pairs: float) -> ScalingResult:
-    return ScalingResult(
-        feasible=True,
-        method="recursive",
-        steps=step_count,
-        pairs_per_level=pairs,
-        exponent=math.log2(pairs) + 1.0,
-    )
-
-
-def _lockstep_traces(f0: np.ndarray, ft: np.ndarray, err: ErrorParams):
-    """Step counts and acceptance products of the traces from each ``f0`` to its ``ft``.
+def _bounded_lockstep_exponents(f0: np.ndarray, ft: np.ndarray, err: ErrorParams, ps: float):
+    """Exponent of the trace from each ``f0`` up to its ``ft > f0``; ``inf`` where dropped.
 
     All traces advance together, one array ``purify`` call per round.  Each
     element goes through the same float operations, in the same order, as in
-    ``_iterate_steps``, so the counts and products match it bit for bit.
+    ``_iterate_steps``, so every finite exponent matches the scalar trace bit
+    for bit.  Every step multiplies the pairs by ``2/(ps*p_accept) >= 2``, so
+    a trace still running after ``rounds`` rounds has an exponent of at least
+    ``rounds + 2``: once ``rounds + 1`` exceeds the best finished exponent,
+    the running traces can neither win nor tie, and they are dropped.
     """
+    exponents = np.full(f0.shape, math.inf)
     f = f0.copy()
-    steps = np.zeros(f.shape, dtype=np.int64)
     prod = np.ones(f.shape)
-    active = np.flatnonzero(f < ft)
+    active = np.arange(f.size)
     rounds = 0
-    while active.size:
+    best = math.inf
+    while active.size and rounds + 1 <= best:
         if rounds >= MAX_TRACE_STEPS:
             raise NonConvergenceError("purification trace exceeded step limit")
         f_next, p_accept = purify(f[active], err)
         f[active] = f_next
         prod[active] *= p_accept
-        steps[active] += 1
-        active = active[f_next < ft[active]]
         rounds += 1
-    return steps.tolist(), prod.tolist()
+        running = f_next < ft[active]
+        done = active[~running]
+        if done.size:
+            # math.log2 per element: np.log2 need not round like it.
+            finished = [math.log2(p) + 1.0 for p in _pairs(rounds, prod[done], ps).tolist()]
+            exponents[done] = finished
+            best = min(best, *finished)
+        active = active[running]
+    return exponents
 
 
 def scaling_from_steps(steps: Sequence[TraceStep], ps: float) -> ScalingResult:
@@ -152,7 +153,9 @@ def scaling_from_steps(steps: Sequence[TraceStep], ps: float) -> ScalingResult:
     prod = 1.0
     for step in steps:
         prod *= step.p_accept
-    return _scaling_result(len(steps), _pairs(len(steps), prod, ps))
+    pairs = _pairs(len(steps), prod, ps)
+    return ScalingResult(feasible=True, method="recursive", steps=len(steps),
+                         pairs_per_level=pairs, exponent=math.log2(pairs) + 1.0)
 
 
 def purification_trace(params: ProtocolParams) -> PurificationTrace:
@@ -193,23 +196,16 @@ def optimal_recursive_exponent(err: ErrorParams, ps: float = 1.0) -> tuple[float
     f_lower = find_fixed_points(err).lower
 
     def scan(a: float, b: float, n: int) -> tuple[float, ScalingResult]:
-        targets, starts = [], []
-        for i in range(n):
-            ft = a + (b - a) * i / (n - 1)
-            # Scalar swap on purpose: the array path squares with x*x, the
-            # float path with pow(), and the two differ in the last bit.
-            f0 = float(swap_fidelity(ft, 2, err))
-            if f_lower < f0 < ft:
-                targets.append(ft)
-                starts.append(f0)
-        if not targets:
+        targets = a + (b - a) * np.arange(n) / (n - 1)
+        starts = swap_fidelity(targets, 2, err)
+        keep = (f_lower < starts) & (starts < targets)
+        if not keep.any():
             raise InfeasibleError("no feasible target fidelity in the scan window")
-        step_counts, prods = _lockstep_traces(np.array(starts), np.array(targets), err)
-        pairs = [_pairs(k, prod, ps) for k, prod in zip(step_counts, prods)]
-        exponents = [math.log2(p) + 1.0 for p in pairs]
-        # min() keeps the first of equal minima, like a strict-less-than scan.
-        best = min(range(len(targets)), key=exponents.__getitem__)
-        return targets[best], _scaling_result(step_counts[best], pairs[best])
+        targets, starts = targets[keep], starts[keep]
+        # argmin keeps the first of equal minima, like a strict-less-than scan.
+        best = int(np.argmin(_bounded_lockstep_exponents(starts, targets, err, ps)))
+        ft = float(targets[best])
+        return ft, scaling_from_steps(_iterate_steps(float(starts[best]), ft, err), ps)
 
     coarse_ft, _ = scan(lo, hi, SCAN_POINTS)
     cell = (hi - lo) / (SCAN_POINTS - 1)

@@ -205,9 +205,11 @@ class TestDstarCommand:
     @pytest.mark.parametrize("bad", [("--rate", "-1", "--t2", "1"), ("--rate", "1", "--t2", "0"),
                                      ("--rate", "1", "--t2", "1", "--lambda", "0.5")])
     def test_bad_inputs_are_usage_errors(self, capsys, bad):
-        code, out, err = run_cli(capsys, "dstar", *bad, "--eps-g", "5e-4", "--eps-r", "1e-4")
-        assert code == EXIT_USAGE
-        assert out == "" and err.startswith("error:")
+        # Also where the errors leave no fixed points: arguments come first.
+        for eps_g, eps_r in (("5e-4", "1e-4"), ("0.05", "0.05")):
+            code, out, err = run_cli(capsys, "dstar", *bad, "--eps-g", eps_g, "--eps-r", eps_r)
+            assert code == EXIT_USAGE
+            assert out == "" and err.startswith("error:")
 
 
 class TestSimulateCommand:

@@ -266,3 +266,27 @@ class TestRangeChecks:
         for out in (purify_ideal(kind(math.nan)), purify(kind(math.nan), ZERO).fidelity,
                     swap_fidelity(kind(math.nan), 2, ZERO), decay(kind(math.nan), 0.0, 1.0)):
             assert np.all(np.isnan(out))
+
+
+class TestSwapArrayBits:
+    # Array and float inputs must give the same bits: callers swap whole
+    # target grids in one call and compare with scalar traces.
+    ERR = ErrorParams(eps_g=0.003, eps_r=0.004)
+
+    @pytest.mark.parametrize("n_links", [2, 3, 4])
+    @pytest.mark.parametrize("absorbed", [True, False])
+    def test_array_equals_float_path(self, n_links, absorbed):
+        fidelities = 1.0 - np.random.default_rng(20241019).uniform(0.0, 0.75, 20000)
+        got = swap_fidelity(fidelities, n_links, self.ERR, absorbed)
+        expected = [swap_fidelity(v, n_links, self.ERR, absorbed) for v in fidelities.tolist()]
+        assert got.tolist() == expected
+
+    @INPUT_KINDS
+    @pytest.mark.parametrize(
+        "n_links, value",
+        # numpy's own powers round these unlike pow() on a float
+        [(2, 0.9463902934058411), (3, 0.9558561406506846), (4, 0.9949858689895528)],
+    )
+    def test_kinds_equal_float_path(self, kind, n_links, value):
+        out = swap_fidelity(kind(value), n_links, self.ERR)
+        assert float(np.ravel(out)[0]) == swap_fidelity(value, n_links, self.ERR)

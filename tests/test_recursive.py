@@ -6,12 +6,13 @@ import pytest
 
 from repeater_scaling.analytic import optimal_target_fidelity
 from repeater_scaling.exceptions import InfeasibleError
-from repeater_scaling.fixed_points import find_fixed_points
+from repeater_scaling.fixed_points import find_fixed_points, target_window
 from repeater_scaling.maps import ErrorParams, purify, swap_fidelity
 from repeater_scaling.platforms import default_platforms_path, load_platforms
 from repeater_scaling.recursive import (
     ProtocolParams,
     TraceStep,
+    _bounded_lockstep_exponents,
     _iterate_steps,
     entanglement_rate,
     optimal_recursive_exponent,
@@ -238,6 +239,50 @@ class TestLockstepScanExactness:
         for search in (scalar_scan, optimal_recursive_exponent):
             with pytest.raises(InfeasibleError):
                 search(err)
+
+
+def _bound_cases():
+    rng = random.Random(20241019)
+    cases = []
+    for i in range(14):
+        eps_g = 10 ** rng.uniform(-4.0, math.log10(2.4e-2))
+        eps_r = rng.uniform(0.0, 1.2e-2)
+        cases.append((eps_g, eps_r, 0.8 if i % 3 == 0 else 1.0))
+    near_threshold = [(0.02, 0.004), (0.021, 0.0), (0.022, 0.002), (0.023, 0.0), (0.024, 0.001),
+                      (0.0225, 0.003)]
+    cases += [(eps_g, eps_r, 0.8 if eps_g > 0.0215 else 1.0) for eps_g, eps_r in near_threshold]
+    return cases
+
+
+def _scan_traces(eps_g, eps_r, ps, n=64):
+    # One scan stage over the feasible window, built as the target scan builds it.
+    err = ErrorParams(eps_g=eps_g, eps_r=eps_r)
+    lo, hi = target_window(err)
+    targets = lo + (hi - lo) * np.arange(n) / (n - 1)
+    starts = swap_fidelity(targets, 2, err)
+    keep = (find_fixed_points(err).lower < starts) & (starts < targets)
+    targets, starts = targets[keep], starts[keep]
+    return err, starts, targets, _bounded_lockstep_exponents(starts, targets, err, ps)
+
+
+class TestBoundedLockstepExponents:
+    @pytest.mark.parametrize("eps_g, eps_r, ps", _bound_cases())
+    def test_finite_exact_and_dropped_worse(self, eps_g, eps_r, ps):
+        err, starts, targets, got = _scan_traces(eps_g, eps_r, ps)
+        best = got.min()
+        for f0, ft, exponent in zip(starts.tolist(), targets.tolist(), got.tolist()):
+            full = scaling_from_steps(_iterate_steps(f0, ft, err), ps)
+            if math.isinf(exponent):
+                # dropped only once the bound exponent >= steps + 1 proves it worse
+                assert full.steps > best and full.exponent > best
+            else:
+                assert exponent == full.exponent
+            if full.steps + 1 <= best:
+                assert math.isfinite(exponent)
+
+    def test_some_targets_are_dropped(self):
+        dropped = sum(int(np.isinf(_scan_traces(*case)[3]).sum()) for case in _bound_cases())
+        assert dropped > 0
 
 
 class TestTotalResourcesAndRate:
