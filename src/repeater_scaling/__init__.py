@@ -25,7 +25,6 @@ from .fixed_points import (
     feasible_for,
     find_fixed_points,
     gate_error_threshold,
-    protocol_feasible,
     target_window,
 )
 from .maps import (
@@ -33,8 +32,10 @@ from .maps import (
     PurifyResult,
     decay,
     purify,
+    purify_coefficients,
     purify_ideal,
     swap_fidelity,
+    swap_preimage,
 )
 from .mc import SimConfig, SimReport, histogram_csv, simulate, simulate_counts
 from .path_length import (

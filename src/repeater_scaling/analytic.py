@@ -4,8 +4,7 @@ The estimators replace the step-by-step purification trace with interval
 averages: the mean fidelity gain over the purification window gives the step
 count, and the geometric mean of the acceptance probability gives the cost
 per step.  Each average has two evaluation routes, adaptive quadrature
-(ground truth) and an explicit antiderivative (fast path), which are required
-to agree.
+(ground truth) and a closed form (fast path), which are required to agree.
 """
 
 import math
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 from .exceptions import InfeasibleError
 from .fixed_points import feasible_for, target_window
-from .maps import ErrorParams, purify, swap_fidelity
+from .maps import ErrorParams, purify, purify_coefficients, swap_fidelity
 from .recursive import ScalingResult
 
 __all__ = [
@@ -90,65 +89,36 @@ def _require_window(f0: float, ft: float, err: ErrorParams) -> None:
         )
 
 
-# --- explicit antiderivatives of the two interval averages -------------------
+# --- window integrals, from maps.purify_coefficients and Q = a F^2 + b F + c
 
 
-def _gain_antiderivative(f: float, err: ErrorParams) -> float:
-    """Antiderivative of the purification gain (map output minus input).
+def _rational_integral(p: float, s: float, f0: float, ft: float,
+                       a: float, b: float, c: float) -> float:
+    """Integral of ``(p F + s) / Q`` over [f0, ft]; both end differences come from ``ft - f0``."""
+    width = ft - f0
+    root = math.sqrt(4.0 * a * c - b * b)
+    x, y = (2.0 * a * ft + b) / root, (2.0 * a * f0 + b) / root
+    log_ratio = math.log1p(width * (a * (ft + f0) + b) / (a * f0 * f0 + b * f0 + c))
+    atan_diff = math.atan2(2.0 * a * width / root, 1.0 + x * y)
+    return p / (2.0 * a) * log_ratio + (s - p * b / (2.0 * a)) * 2.0 / root * atan_diff
 
-    The gain is a cubic over the quadratic acceptance polynomial, so the
-    integral splits into a polynomial, a logarithm of the acceptance
-    polynomial and an arctangent (its discriminant is always negative).
-    """
-    eta = err.eta
-    ms = eta * eta + (1.0 - eta) * (1.0 - eta)
-    mc = eta * (1.0 - eta)
-    u = (1.0 - err.eps_g) ** 2
-    p_z = err.p_z
-    q_xy = err.p_x + err.p_y
-    # 9 * acceptance polynomial = a F^2 + b F + c
-    a = 8.0 * ms - 16.0 * mc
-    b = -4.0 * ms + 8.0 * mc
-    c = 5.0 * ms + 8.0 * mc
-    # 9 * (numerator of the map minus F * acceptance polynomial), a cubic with
-    # leading coefficient -a; n2, n1, n0 are its remaining coefficients.
-    n2 = 10.0 * u * ms - 4.0 * u * mc + 2.0 * (1.0 - u) * (q_xy - 3.0 * p_z) - b
-    n1 = -2.0 * u * ms + 2.0 * u * mc + 2.0 * (1.0 - u) * (3.0 * p_z - 2.0 * q_xy) - c
-    n0 = u * ms + 2.0 * u * mc + 2.0 * (1.0 - u) * q_xy
+
+def _gain_integral(f0: float, ft: float, err: ErrorParams) -> float:
+    """Integral of the gain: ``-F + quot`` plus ``(lin F + const) / Q`` after division."""
+    a, b, c, n2, n1, n0 = purify_coefficients(err)
     quot = (n2 + b) / a
     lin = (n1 + c) - quot * b
     const = n0 - quot * c
-    root = math.sqrt(4.0 * a * c - b * b)
-    return (
-        -0.5 * f * f
-        + quot * f
-        + lin / (2.0 * a) * math.log(a * f * f + b * f + c)
-        + (const - lin * b / (2.0 * a)) * 2.0 / root * math.atan((2.0 * a * f + b) / root)
-    )
+    return (ft - f0) * (quot - 0.5 * (ft + f0)) + _rational_integral(lin, const, f0, ft, a, b, c)
 
 
-def _log_acceptance_integral(f0: float, ft: float, eps_r: float) -> float:
-    """Antiderivative of log(acceptance probability) over the window."""
-    quad = 16.0 * eps_r**2 - 16.0 * eps_r + 4.0
-    lin = 3.0 - 6.0 * eps_r
-    total = 0.0
-    for f_alpha, sign in ((f0, 1.0), (ft, -1.0)):
-        accept = (
-            8.0 * eps_r * (f_alpha - 1.0) * (2.0 * f_alpha + 1.0) * (eps_r - 1.0) / 9.0
-            + (eps_r**2 + (eps_r - 1.0) ** 2)
-            * (
-                3.0 * f_alpha**2
-                - 2.0 * f_alpha * (f_alpha - 1.0)
-                + 5.0 * (f_alpha - 1.0) ** 2 / 3.0
-            )
-            / 3.0
-        )
-        total += sign * (-f_alpha) * math.log(accept)
-        total += sign * (
-            2.0 * lin / quad * math.atan(lin / ((f_alpha - 0.25) * quad))
-            + 0.25 * math.log(lin**2 / quad**2 + (f_alpha - 0.25) ** 2)
-        )
-    return total - 2.0 * (ft - f0)
+def _log_acceptance_integral(f0: float, ft: float, err: ErrorParams) -> float:
+    """Integral of log(Q / 9), by parts with ``(F - f0) Q' = 2Q - (b + 2a f0) F - (b f0 + 2c)``."""
+    a, b, c, *_ = purify_coefficients(err)
+    width = ft - f0
+    log_end = math.log((a * ft * ft + b * ft + c) / 9.0)
+    return (width * (log_end - 2.0)
+            + _rational_integral(b + 2.0 * a * f0, b * f0 + 2.0 * c, f0, ft, a, b, c))
 
 
 # --- interval averages -------------------------------------------------------
@@ -156,7 +126,7 @@ def _log_acceptance_integral(f0: float, ft: float, eps_r: float) -> float:
 
 def _average_gain_raw(f0, ft, err, opts: AnalyticOptions) -> float:
     if opts.integral_mode == CLOSED_FORM:
-        integral = _gain_antiderivative(ft, err) - _gain_antiderivative(f0, err)
+        integral = _gain_integral(f0, ft, err)
     else:
         integral = adaptive_simpson(
             lambda f: purify(f, err).fidelity - f, f0, ft, QUAD_TOL
@@ -166,7 +136,7 @@ def _average_gain_raw(f0, ft, err, opts: AnalyticOptions) -> float:
 
 def _acceptance_geomean_raw(f0, ft, err, opts: AnalyticOptions) -> float:
     if opts.integral_mode == CLOSED_FORM:
-        integral = _log_acceptance_integral(f0, ft, err.eps_r)
+        integral = _log_acceptance_integral(f0, ft, err)
     else:
         integral = adaptive_simpson(
             lambda f: math.log(purify(f, err).p_accept), f0, ft, QUAD_TOL
@@ -225,8 +195,7 @@ def window_exponent(
     Unlike :func:`exponent_estimate`, the window is not checked against the
     fixed points: the averages are taken wherever ``f0 < ft``, and a mean gain
     that is not positive is reported as an infeasible result.  A geometric
-    mean acceptance outside (0, 1], a rounding artefact of the closed form on
-    very narrow windows, raises ``ValueError``.
+    mean acceptance outside (0, 1] raises ``ValueError``.
     """
     if not f0 < ft:
         raise ValueError(f"expected f0 < ft, got f0={f0}, ft={ft}")

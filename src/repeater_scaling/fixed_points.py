@@ -1,19 +1,19 @@
 """Fixed points of the error-modelled purification map and feasibility tests."""
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InfeasibleError
-from .maps import ErrorParams, purify, swap_fidelity
+from .maps import ErrorParams, purify, purify_coefficients, swap_preimage
 
 __all__ = [
     "FixedPointResult",
     "find_fixed_points",
     "feasible_for",
     "target_window",
-    "protocol_feasible",
     "gate_error_threshold",
 ]
 
@@ -29,9 +29,6 @@ TARGET_MARGIN = 1e-4
 # command, or across the quantities swept over one grid.  A small cache
 # catches them and keeps memory bounded on long sweeps.
 CACHE_SIZE = 256
-# No read-out error leaves two fixed points at this gate error, so the
-# threshold search brackets from below it.
-THRESHOLD_SEARCH_UPPER = 0.1
 
 
 @dataclass(frozen=True)
@@ -115,56 +112,56 @@ def feasible_for(f0: float, ft: float, err: ErrorParams) -> bool:
 def target_window(err: ErrorParams) -> tuple[float, float]:
     """Targets ``(lo, hi)`` whose two-link swap stays above the lower fixed point.
 
-    The window keeps TARGET_MARGIN inside both fixed points; where swapping
-    the lowest such target drops below the lower fixed point, the lower end
-    moves to the bisected swap limit plus the same margin.
+    The window keeps TARGET_MARGIN inside both fixed points and above the swap
+    limit, the target whose two-link swap lands on the lower fixed point.
     """
     fps = find_fixed_points(err)
     if not fps.feasible:
         raise InfeasibleError("no purification fixed points for these errors")
-    lo, hi = fps.lower + TARGET_MARGIN, fps.upper - TARGET_MARGIN
-    if lo >= hi or swap_fidelity(hi, 2, err) <= fps.lower:
-        raise InfeasibleError("swapping drops every target below the lower fixed point")
-    if swap_fidelity(lo, 2, err) <= fps.lower:
-        swap_lo, swap_hi = lo, hi
-        while swap_hi - swap_lo > 1e-12:
-            mid = 0.5 * (swap_lo + swap_hi)
-            if swap_fidelity(mid, 2, err) <= fps.lower:
-                swap_lo = mid
-            else:
-                swap_hi = mid
-        lo = swap_hi + TARGET_MARGIN
+    # Swapping never raises a fidelity, so the swap limit lies above the lower fixed point.
+    lo, hi = swap_preimage(fps.lower, err.eta_s) + TARGET_MARGIN, fps.upper - TARGET_MARGIN
     if lo >= hi:
-        raise InfeasibleError("feasible target window is empty")
+        raise InfeasibleError("swapping drops every target below the lower fixed point")
     return lo, hi
 
 
-def protocol_feasible(err: ErrorParams) -> bool:
-    """True when some target fidelity survives the swap-then-purify cycle.
+def _quadratic_roots(a2: float, a1: float, a0: float) -> tuple[float, float] | None:
+    """Ascending roots of ``a2 x**2 + a1 x + a0``, cancellation-free; None unless two distinct."""
+    disc = a1 * a1 - 4.0 * a2 * a0
+    if not disc > 0.0:
+        return None
+    q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
+    return tuple(sorted((q / a2, a0 / q)))
 
-    Swapping at a target just below the upper fixed point must land above the
-    lower fixed point, otherwise no target fidelity is maintainable.
+
+def _fixed_point_quadratic(err: ErrorParams) -> tuple[float, float, float]:
+    """Coefficients ``(q2, q1, q0)`` of the quadratic whose roots are the fixed points.
+
+    ``purify(1/4) == 1/4`` for every error model, so the gain numerator of
+    :func:`maps.purify_coefficients` factors as ``(F - 1/4)(q2 F**2 + q1 F + q0)``.
     """
-    fps = find_fixed_points(err)
-    if not fps.feasible:
-        return False
-    return swap_fidelity(fps.upper, 2, err) > fps.lower
+    a, _, _, n2, n1, _ = purify_coefficients(err)
+    q2 = -a
+    q1 = n2 + q2 / 4.0
+    q0 = n1 + q1 / 4.0
+    return q2, q1, q0
 
 
 def gate_error_threshold(eps_r: float = 0.0, tol: float = 1e-4) -> float:
-    """Largest gate error (to ``tol``) for which purification fixed points exist.
+    """Largest gate error at which the purification map has two fixed points.
 
-    Bisects the feasible/infeasible classification of :func:`find_fixed_points`
-    in the gate error at fixed read-out error.
+    The value is exact and ``tol`` is unused.  There the fixed points merge, so
+    the discriminant of the fixed-point quadratic vanishes.  Its coefficients
+    are constant (q2) or linear (q1, q0) in ``u = (1 - eps_g)**2``, so the
+    discriminant is a quadratic in u.
     """
-    lo = 0.0
-    if not find_fixed_points(ErrorParams(eps_g=lo, eps_r=eps_r)).feasible:
+    zero = ErrorParams(eps_g=0.0, eps_r=eps_r)
+    if not find_fixed_points(zero).feasible:
         raise InfeasibleError(f"purification infeasible even at eps_g=0 for eps_r={eps_r}")
-    hi = THRESHOLD_SEARCH_UPPER
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if find_fixed_points(ErrorParams(eps_g=mid, eps_r=eps_r)).feasible:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # q1 and q0 at u = 1 (eps_g = 0) and u = 1/4 (eps_g = 1/2) give their slopes in u.
+    q2, q1, q0 = _fixed_point_quadratic(zero)
+    _, q1_quarter, q0_quarter = _fixed_point_quadratic(ErrorParams(eps_g=0.5, eps_r=eps_r))
+    d1, d0 = (q1 - q1_quarter) / 0.75, (q0 - q0_quarter) / 0.75
+    # (q1 + d1 v)**2 - 4 q2 (q0 + d0 v), v = u - 1: its larger root lies in (-1, 0).
+    v = _quadratic_roots(d1 * d1, 2.0 * q1 * d1 - 4.0 * q2 * d0, q1 * q1 - 4.0 * q2 * q0)[1]
+    return -v / (1.0 + math.sqrt(1.0 + v))  # 1 - sqrt(1 + v), without cancellation

@@ -5,6 +5,7 @@ with the target Bell state.  All maps accept floats or numpy arrays and
 broadcast elementwise; they are pure functions and safe to call concurrently.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -18,7 +19,9 @@ __all__ = [
     "PurifyResult",
     "purify_ideal",
     "purify",
+    "purify_coefficients",
     "swap_fidelity",
+    "swap_preimage",
     "decay",
 ]
 
@@ -153,6 +156,27 @@ def purify(fidelity, err: ErrorParams) -> PurifyResult:
     return PurifyResult(_clamp_unit(num / den), p_accept)
 
 
+def purify_coefficients(err: ErrorParams) -> tuple[float, float, float, float, float, float]:
+    """Coefficients ``(a, b, c, n2, n1, n0)`` of :func:`purify` as polynomials in F.
+
+    With acceptance ``p`` and output ``F'``, ``9 p = a F**2 + b F + c`` (no real
+    root) and ``9 p (F' - F) = -a F**3 + n2 F**2 + n1 F + n0``.
+    """
+    eta = err.eta
+    ms = eta * eta + (1.0 - eta) * (1.0 - eta)
+    mc = eta * (1.0 - eta)
+    u = (1.0 - err.eps_g) ** 2
+    p_z = err.p_z
+    q_xy = err.p_x + err.p_y
+    a = 8.0 * ms - 16.0 * mc
+    b = -4.0 * ms + 8.0 * mc
+    c = 5.0 * ms + 8.0 * mc
+    n2 = 10.0 * u * ms - 4.0 * u * mc + 2.0 * (1.0 - u) * (q_xy - 3.0 * p_z) - b
+    n1 = -2.0 * u * ms + 2.0 * u * mc + 2.0 * (1.0 - u) * (3.0 * p_z - 2.0 * q_xy) - c
+    n0 = u * ms + 2.0 * u * mc + 2.0 * (1.0 - u) * q_xy
+    return a, b, c, n2, n1, n0
+
+
 def swap_fidelity(fidelity, n_links: int, err: ErrorParams, absorbed: bool = True):
     """Fidelity after joining ``n_links`` adjacent links of equal fidelity.
 
@@ -179,6 +203,11 @@ def swap_fidelity(fidelity, n_links: int, err: ErrorParams, absorbed: bool = Tru
         # powers from its own loops, which round unlike pow() on floats.
         x_n = np.array([v**n_links for v in x.ravel().tolist()]).reshape(x.shape)
     return _clamp_unit(0.25 * (1.0 + 3.0 * link_factor ** (n_links - 1) * x_n))
+
+
+def swap_preimage(fidelity: float, eta_s: float) -> float:
+    """Inverse of ``swap_fidelity(F, 2, err)`` at ``err.eta_s == eta_s``, on (1/4, eta_s**2]."""
+    return (3.0 * math.sqrt((4.0 * fidelity - 1.0) / (4.0 * eta_s**2 - 1.0)) + 1.0) / 4.0
 
 
 def decay(fidelity, elapsed_s, t2_s):

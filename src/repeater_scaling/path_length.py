@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .analytic import optimal_target_fidelity
 from .exceptions import InfeasibleError
 from .fixed_points import find_fixed_points
-from .maps import ErrorParams, decay
+from .maps import ErrorParams, decay, swap_preimage
 
 __all__ = [
     "check_budget_inputs",
@@ -75,7 +75,7 @@ def link_budget(err: ErrorParams, rate_hz: float, t2_s: float, exponent: float) 
         exponent=exponent,
         ft_star=optimal_target_fidelity(err.eps_g),
         f_lower=fps.lower,
-        eta=err.eta,
+        eta=err.eta_s,
     )
 
 
@@ -101,10 +101,9 @@ def within_decoherence_budget(path_links: int, budget: LinkBudget) -> bool:
 
 def max_path_length(budget: LinkBudget, floored: bool = False) -> float:
     """Longest path (in links) the budget sustains; real-valued unless floored."""
-    ratio = (4.0 * budget.f_lower - 1.0) / (4.0 * budget.eta**2 - 1.0)
-    if ratio < 0.0:
-        raise InfeasibleError(f"negative radicand (4*f_lower - 1)/(4*eta^2 - 1) = {ratio}")
-    log_arg = (3.0 * math.sqrt(ratio) + 1.0) / (4.0 * budget.ft_star)
+    if budget.f_lower < 0.25:
+        raise InfeasibleError(f"negative radicand: f_lower={budget.f_lower} is below 1/4")
+    log_arg = swap_preimage(budget.f_lower, budget.eta) / budget.ft_star
     if not 0.0 < log_arg < 1.0:
         raise InfeasibleError(f"logarithm argument {log_arg} outside (0, 1); no real path length")
     length = (budget.rate_hz * budget.t2_s * math.sqrt(-math.log(log_arg))) ** (

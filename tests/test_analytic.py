@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from repeater_scaling.analytic import (
     window_exponent,
 )
 from repeater_scaling.exceptions import InfeasibleError
-from repeater_scaling.fixed_points import find_fixed_points
+from repeater_scaling.fixed_points import feasible_for, find_fixed_points
 from repeater_scaling.maps import ErrorParams, purify, swap_fidelity
 from repeater_scaling.platforms import default_platforms_path, load_platforms
 from repeater_scaling.recursive import ProtocolParams, ScalingResult, resource_exponent
@@ -192,13 +193,35 @@ class TestWindowExponent:
         with pytest.raises(ValueError):
             window_exponent(0.9, 0.9, ZERO)
 
-    def test_closed_form_acceptance_above_one_raises(self):
-        # on a window this narrow the closed form cancels to a mean above 1
+    def test_closed_form_agrees_with_quadrature_on_a_narrow_window(self):
+        # a swap-tied window about 6e-9 wide just below F = 1
         ft = 0.9999999938908686
         f0 = float(swap_fidelity(ft, 2, ZERO))
         for estimate in (window_exponent, exponent_estimate):
-            with pytest.raises(ValueError, match="geometric mean"):
-                estimate(f0, ft, ZERO, opts=CLOSED)
+            closed, quad = estimate(f0, ft, ZERO, opts=CLOSED), estimate(f0, ft, ZERO)
+            assert closed.feasible and quad.feasible
+            assert closed.exponent == pytest.approx(quad.exponent, rel=1e-8)
+
+
+def _swap_tied_windows(count, seed=20241021):
+    # Inside the fixed points, with ft in [0.99, 1) and windows down to 6e-8 wide.
+    rng = random.Random(seed)
+    windows = []
+    while len(windows) < count:
+        err = ErrorParams(eps_g=rng.choice([0.0, rng.uniform(0.0, 0.01)]),
+                          eps_r=rng.choice([0.0, rng.uniform(0.0, 0.01)]))
+        ft = 1.0 - 10 ** rng.uniform(-7.3, -2.0)
+        f0 = float(swap_fidelity(ft, 2, err))
+        if feasible_for(f0, ft, err):
+            windows.append((err, f0, ft))
+    return windows
+
+
+def test_closed_form_agrees_with_quadrature_on_windows_near_one():
+    for err, f0, ft in _swap_tied_windows(600):
+        closed = window_exponent(f0, ft, err, opts=CLOSED)
+        quad = window_exponent(f0, ft, err)
+        assert closed.exponent == pytest.approx(quad.exponent, rel=1e-8), (err, f0, ft)
 
 
 class TestOptimalTarget:

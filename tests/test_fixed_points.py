@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from repeater_scaling.fixed_points import (
     feasible_for,
     find_fixed_points,
     gate_error_threshold,
-    protocol_feasible,
     target_window,
 )
 from repeater_scaling.maps import ErrorParams, purify, swap_fidelity
@@ -107,12 +107,6 @@ class TestFeasibleFor:
         assert feasible_for(f0, ft, err) is expected
 
 
-def test_protocol_feasible_tracks_map_feasibility():
-    assert protocol_feasible(ZERO)
-    assert protocol_feasible(ErrorParams(eps_g=0.01, eps_r=0.01))
-    assert not protocol_feasible(ErrorParams(eps_g=0.05, eps_r=0.05))
-
-
 def test_gate_error_threshold_brackets_published_value():
     threshold = gate_error_threshold(0.0, tol=1e-4)
     assert 0.028 < threshold < 0.030
@@ -127,6 +121,62 @@ def test_gate_error_threshold_raises_when_never_feasible():
         gate_error_threshold(0.45)
 
 
+THRESHOLD_EPS_R = [float(er) for er in np.linspace(0.0, 0.1, 26)]
+
+
+def _bisected_threshold(eps_r, tol):
+    """The bisection of the scan's feasible flag that the closed form replaced."""
+    lo, hi = 0.0, 0.1
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if find_fixed_points(ErrorParams(eps_g=mid, eps_r=eps_r)).feasible:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestExactThreshold:
+    @pytest.mark.parametrize("eps_r", THRESHOLD_EPS_R)
+    def test_scan_flips_at_the_threshold(self, eps_r):
+        threshold = gate_error_threshold(eps_r)
+        assert not find_fixed_points(ErrorParams(eps_g=threshold + 1e-9, eps_r=eps_r)).feasible
+        assert find_fixed_points(ErrorParams(eps_g=threshold - 1e-6, eps_r=eps_r)).feasible
+
+    @pytest.mark.parametrize("eps_r", THRESHOLD_EPS_R[::5])
+    def test_agrees_with_fine_bisection(self, eps_r):
+        assert abs(gate_error_threshold(eps_r) - _bisected_threshold(eps_r, 1e-12)) <= 1e-7
+
+    def test_a_call_takes_under_a_tenth_of_a_millisecond(self):
+        gate_error_threshold(0.003)
+        times = []
+        for _ in range(21):
+            start = time.perf_counter()
+            gate_error_threshold(0.003, tol=1e-4)
+            times.append(time.perf_counter() - start)
+        assert sorted(times)[10] < 1e-4
+
+
+def _bisected_target_window(err):
+    """The target window with its swap limit bisected, kept as the closed form's oracle."""
+    fps = find_fixed_points(err)
+    lo, hi = fps.lower + TARGET_MARGIN, fps.upper - TARGET_MARGIN
+    if lo >= hi or swap_fidelity(hi, 2, err) <= fps.lower:
+        raise InfeasibleError("swapping drops every target below the lower fixed point")
+    if swap_fidelity(lo, 2, err) <= fps.lower:
+        swap_lo, swap_hi = lo, hi
+        while swap_hi - swap_lo > 1e-12:
+            mid = 0.5 * (swap_lo + swap_hi)
+            if swap_fidelity(mid, 2, err) <= fps.lower:
+                swap_lo = mid
+            else:
+                swap_hi = mid
+        lo = swap_hi + TARGET_MARGIN
+    if lo >= hi:
+        raise InfeasibleError("feasible target window is empty")
+    return lo, hi
+
+
 class TestTargetWindow:
     def test_swap_of_every_target_stays_purifiable(self):
         err = ErrorParams(eps_g=0.02, eps_r=0.004)
@@ -138,6 +188,26 @@ class TestTargetWindow:
     def test_infeasible_errors_raise(self):
         with pytest.raises(InfeasibleError, match="no purification fixed points"):
             target_window(ErrorParams(eps_g=0.05, eps_r=0.05))
+
+    def test_swap_limit_agrees_with_bisection(self):
+        rng = random.Random(20241020)
+        cases = [ErrorParams(eps_g=rng.uniform(0.0, 0.03), eps_r=rng.uniform(0.0, 0.012))
+                 for _ in range(300)]
+        cases += [p.errors for p in load_platforms(default_platforms_path())]
+        windows = 0
+        for err in cases:
+            if not find_fixed_points(err).feasible:
+                continue
+            try:
+                expected = _bisected_target_window(err)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    target_window(err)
+                continue
+            lo, hi = target_window(err)
+            assert abs(lo - expected[0]) <= 1e-12 and hi == expected[1]
+            windows += 1
+        assert windows > 100
 
 
 def _cache_cases():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from repeater_scaling.maps import (
     _clamp_unit,
     decay,
     purify,
+    purify_coefficients,
     purify_ideal,
     swap_fidelity,
+    swap_preimage,
 )
 
 ZERO = ErrorParams()
@@ -128,6 +131,45 @@ class TestPurify:
                 for er in np.linspace(0.0, 0.05, 11)
             ]
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+class TestPurifyCoefficients:
+    @pytest.mark.parametrize(
+        "err",
+        [ZERO, ErrorParams(eps_g=0.01, eps_r=0.005), ErrorParams(eps_g=0.03, eps_r=0.02),
+         ErrorParams(eps_g=0.008, eps_r=0.002, p_x=0.1, p_y=0.2, p_z=0.7)],
+    )
+    def test_polynomials_reproduce_the_map(self, err):
+        a, b, c, n2, n1, n0 = purify_coefficients(err)
+        f = np.linspace(0.26, 1.0, 75)
+        result = purify(f, err)
+        accept9 = a * f * f + b * f + c
+        assert np.allclose(accept9, 9.0 * result.p_accept, rtol=1e-14, atol=0.0)
+        cubic = -a * f**3 + n2 * f * f + n1 * f + n0
+        assert np.allclose(cubic / accept9, result.fidelity - f, rtol=0.0, atol=1e-14)
+
+    def test_quarter_is_a_root_of_the_gain(self):
+        # purify(1/4) == 1/4 for every error model
+        rng = random.Random(3)
+        for _ in range(200):
+            err = ErrorParams(eps_g=rng.uniform(0.0, 0.05), eps_r=rng.uniform(0.0, 0.05))
+            a, _, _, n2, n1, n0 = purify_coefficients(err)
+            assert abs(-a / 64.0 + n2 / 16.0 + n1 / 4.0 + n0) <= 1e-15
+
+
+class TestSwapPreimage:
+    def test_inverts_the_two_link_swap_within_four_ulp(self):
+        rng = random.Random(20241022)
+        for eps_r in (0.0, 1e-4, 3e-3, 0.02, 0.2):
+            err = ErrorParams(eps_r=eps_r)
+            for _ in range(4000):
+                f = rng.uniform(0.25, err.eta_s**2)
+                back = float(swap_fidelity(swap_preimage(f, err.eta_s), 2, err))
+                assert abs(back - f) <= 4 * math.ulp(f), (eps_r, f)
+
+    def test_uses_the_swap_read_out_efficiency(self):
+        err = ErrorParams(eps_r=0.01, eta_s=0.97)
+        assert float(swap_fidelity(swap_preimage(0.8, 0.97), 2, err)) == pytest.approx(0.8)
 
 
 class TestSwapFidelity:

@@ -5,7 +5,7 @@ import pytest
 
 from repeater_scaling.exceptions import InfeasibleError
 from repeater_scaling.fixed_points import find_fixed_points
-from repeater_scaling.maps import ErrorParams
+from repeater_scaling.maps import ErrorParams, decay, swap_fidelity
 from repeater_scaling.path_length import (
     LinkBudget,
     link_budget,
@@ -36,6 +36,16 @@ class TestLinkBudget:
         assert budget.f_lower == pytest.approx(fps.lower, abs=1e-12)
         assert budget.eta == pytest.approx(1.0 - 1e-4, abs=1e-15)
         assert 0.9 < budget.ft_star < 1.0
+
+    def test_builder_uses_the_swap_read_out_efficiency(self):
+        # eta_s set apart from 1 - eps_r: at d*, the decayed target swaps
+        # exactly onto the lower fixed point.
+        err = ErrorParams(eps_g=5e-4, eps_r=1e-4, eta_s=0.99)
+        budget = link_budget(err, 1.0, 2.1, 4.06)
+        assert budget.eta == 0.99
+        d = max_path_length(budget)
+        decayed = decay(budget.ft_star, d**budget.exponent / budget.rate_hz, budget.t2_s)
+        assert float(swap_fidelity(decayed, 2, err)) == pytest.approx(budget.f_lower, abs=1e-15)
 
     def test_builder_raises_infeasible_without_fixed_points(self):
         with pytest.raises(InfeasibleError, match="no purification fixed points"):

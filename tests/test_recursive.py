@@ -158,24 +158,8 @@ class TestOptimalRecursiveExponent:
 def scalar_scan(err, ps=1.0, grid=512):
     # The target scan as one scalar trace per target, kept as the oracle of
     # the lock-step array scan: same window, same grid, first strict minimum.
+    lo, hi = target_window(err)
     fps = find_fixed_points(err)
-    if not fps.feasible:
-        raise InfeasibleError("no purification fixed points for these errors")
-    margin = 1e-4
-    lo, hi = fps.lower + margin, fps.upper - margin
-    if lo >= hi or swap_fidelity(hi, 2, err) <= fps.lower:
-        raise InfeasibleError("swapping drops every target below the lower fixed point")
-    if swap_fidelity(lo, 2, err) <= fps.lower:
-        swap_lo, swap_hi = lo, hi
-        while swap_hi - swap_lo > 1e-12:
-            mid = 0.5 * (swap_lo + swap_hi)
-            if swap_fidelity(mid, 2, err) <= fps.lower:
-                swap_lo = mid
-            else:
-                swap_hi = mid
-        lo = swap_hi + margin
-    if lo >= hi:
-        raise InfeasibleError("feasible target window is empty")
 
     def scan(a, b, n):
         best_ft, best = None, None
