@@ -5,6 +5,7 @@ with the target Bell state.  All maps accept floats or numpy arrays and
 broadcast elementwise; they are pure functions and safe to call concurrently.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -135,25 +136,39 @@ def purify(fidelity, err: ErrorParams) -> PurifyResult:
     Returns the fidelity after a successful round together with the
     acceptance probability of the round.  The acceptance probability depends
     only on the read-out efficiency: source-qubit gate errors never flip the
-    measured target qubits.
+    measured target qubits.  This public entry point checks its input and
+    clamps its output; the arithmetic is :func:`_purify_kernel`.
     """
     _check_fidelity(fidelity)
-    f = fidelity
+    fidelity_out, p_accept = _purify_kernel(fidelity, err)
+    return PurifyResult(_clamp_unit(fidelity_out), p_accept)
+
+
+def _purify_kernel(f, err: ErrorParams):
+    """``(fidelity, p_accept)`` of :func:`purify`, unchecked and unclamped.
+
+    The same float operations in the same order as the checked map, so both
+    give the same bits.  Callers must pass fidelities in (0, 1]; the
+    lock-step target scan feeds it the map's own outputs, which stay in
+    (1/4, 1) there, so checking them again every round would find nothing.
+    """
     eta = err.eta
     eps_g = err.eps_g
     w = (1.0 - f) / 3.0
+    ff = f * f
+    ww = w * w
     meas_same = eta * eta + (1.0 - eta) * (1.0 - eta)
     meas_cross = eta * (1.0 - eta)
-    cross = f * w + w * w
+    cross = f * w + ww
     gate = (2.0 * eps_g - eps_g * eps_g) / ((1.0 - eps_g) * (1.0 - eps_g))
     num = (
-        (f * f + w * w) * meas_same
+        (ff + ww) * meas_same
         + cross * 2.0 * meas_cross
         + 2.0 * gate * (err.p_z * f * w + (err.p_x + err.p_y) * w * w)
     )
-    p_accept = (f * f + 2.0 * f * w + 5.0 * w * w) * meas_same + cross * 8.0 * meas_cross
+    p_accept = (ff + 2.0 * f * w + 5.0 * w * w) * meas_same + cross * 8.0 * meas_cross
     den = p_accept / ((1.0 - eps_g) * (1.0 - eps_g))
-    return PurifyResult(_clamp_unit(num / den), p_accept)
+    return num / den, p_accept
 
 
 def purify_coefficients(err: ErrorParams) -> tuple[float, float, float, float, float, float]:
@@ -190,19 +205,29 @@ def swap_fidelity(fidelity, n_links: int, err: ErrorParams, absorbed: bool = Tru
     if _outside(fidelity, 0.25):
         raise ValueError(f"swap input fidelity must lie in (1/4, 1], got {fidelity}")
     if absorbed:
-        eta_s = err.eta_s
-        link_factor = (4.0 * eta_s * eta_s - 1.0) / 3.0
+        out = _swap(fidelity, n_links, err.eta_s)
     else:
-        eta = err.eta
-        link_factor = (1.0 - err.eps_g) ** 3 * (4.0 * eta * eta - 1.0) / 3.0
+        out = _swap(fidelity, n_links, err.eta, (1.0 - err.eps_g) ** 3)
+    return _clamp_unit(out)
+
+
+def _swap(fidelity, n_links: int, eta: float, gate: float = 1.0):
+    """Swap arithmetic of :func:`swap_fidelity`, with no domain check or clamp.
+
+    ``gate`` scales the per-link factor; multiplying by the default 1.0 is
+    exact, so the absorbed swap keeps its bits.
+    """
+    link_factor = gate * (4.0 * eta * eta - 1.0) / 3.0
     x = (4.0 * fidelity - 1.0) / 3.0
     if isinstance(x, float):
         x_n = x**n_links
     else:
         # Python's pow per element: numpy squares with x*x and takes higher
         # powers from its own loops, which round unlike pow() on floats.
-        x_n = np.array([v**n_links for v in x.ravel().tolist()]).reshape(x.shape)
-    return _clamp_unit(0.25 * (1.0 + 3.0 * link_factor ** (n_links - 1) * x_n))
+        x_n = np.fromiter(
+            map(pow, x.ravel().tolist(), itertools.repeat(n_links)), float, x.size
+        ).reshape(x.shape)
+    return 0.25 * (1.0 + 3.0 * link_factor ** (n_links - 1) * x_n)
 
 
 def swap_preimage(fidelity: float, eta_s: float) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .analytic import optimal_target_fidelity
 from .exceptions import InfeasibleError
 from .fixed_points import find_fixed_points
-from .maps import ErrorParams, decay, swap_preimage
+from .maps import ErrorParams, _swap, decay, swap_preimage
 
 __all__ = [
     "check_budget_inputs",
@@ -83,13 +83,11 @@ def swap_after_decay(path_links: float, budget: LinkBudget) -> float:
     """Fidelity of a swapped pair after waiting for the path's pair budget.
 
     The wait is the time to generate ``path_links ** exponent`` pairs at the
-    neighbour rate; the decayed target is then swapped once.
+    neighbour rate; the decayed target is then swapped once, by the arithmetic
+    of :func:`maps.swap_fidelity` without its (1/4, 1] domain check.
     """
     wait_s = path_links**budget.exponent / budget.rate_hz
-    decayed = decay(budget.ft_star, wait_s, budget.t2_s)
-    link_factor = (4.0 * budget.eta**2 - 1.0) / 3.0
-    x = (4.0 * decayed - 1.0) / 3.0
-    return 0.25 * (1.0 + 3.0 * link_factor * x * x)
+    return _swap(decay(budget.ft_star, wait_s, budget.t2_s), 2, budget.eta)
 
 
 def within_decoherence_budget(path_links: int, budget: LinkBudget) -> bool:

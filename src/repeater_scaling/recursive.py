@@ -14,7 +14,7 @@ import numpy as np
 
 from .exceptions import InfeasibleError, NonConvergenceError
 from .fixed_points import feasible_for, find_fixed_points, target_window
-from .maps import ErrorParams, purify, swap_fidelity
+from .maps import ErrorParams, _purify_kernel, purify, swap_fidelity
 
 __all__ = [
     "ProtocolParams",
@@ -116,35 +116,38 @@ def _pairs(step_count: int, prod: float | np.ndarray, ps: float) -> float | np.n
 def _bounded_lockstep_exponents(f0: np.ndarray, ft: np.ndarray, err: ErrorParams, ps: float):
     """Exponent of the trace from each ``f0`` up to its ``ft > f0``; ``inf`` where dropped.
 
-    All traces advance together, one array ``purify`` call per round.  Each
-    element goes through the same float operations, in the same order, as in
-    ``_iterate_steps``, so every finite exponent matches the scalar trace bit
-    for bit.  Every step multiplies the pairs by ``2/(ps*p_accept) >= 2``, so
-    a trace still running after ``rounds`` rounds has an exponent of at least
+    All traces advance together, one call of the unchecked map kernel per
+    round: the callers check the window, and every round's input is the
+    map's own output, inside (1/4, 1).  Each element goes through the same
+    float operations, in the same order, as in ``_iterate_steps``, so every
+    finite exponent matches the scalar trace bit for bit.  Every step
+    multiplies the pairs by ``2/(ps*p_accept) >= 2``, so a trace still
+    running after ``rounds`` rounds has an exponent of at least
     ``rounds + 2``: once ``rounds + 1`` exceeds the best finished exponent,
     the running traces can neither win nor tie, and they are dropped.
     """
     exponents = np.full(f0.shape, math.inf)
-    f = f0.copy()
+    f = f0
     prod = np.ones(f.shape)
-    active = np.arange(f.size)
+    index = np.arange(f.size)
     rounds = 0
     best = math.inf
-    while active.size and rounds + 1 <= best:
+    while index.size and rounds + 1 <= best:
         if rounds >= MAX_TRACE_STEPS:
             raise NonConvergenceError("purification trace exceeded step limit")
-        f_next, p_accept = purify(f[active], err)
-        f[active] = f_next
-        prod[active] *= p_accept
+        f, p_accept = _purify_kernel(f, err)
+        prod *= p_accept
         rounds += 1
-        running = f_next < ft[active]
-        done = active[~running]
-        if done.size:
+        running = f < ft
+        if not running.all():
+            # Gather the survivors only when some trace finished, not every round.
+            done = ~running
+            pairs = _pairs(rounds, prod[done], ps)
             # math.log2 per element: np.log2 need not round like it.
-            finished = [math.log2(p) + 1.0 for p in _pairs(rounds, prod[done], ps).tolist()]
-            exponents[done] = finished
-            best = min(best, *finished)
-        active = active[running]
+            finished = np.fromiter(map(math.log2, pairs.tolist()), float, pairs.size) + 1.0
+            exponents[index[done]] = finished
+            best = min(best, float(finished.min()))
+            f, prod, ft, index = f[running], prod[running], ft[running], index[running]
     return exponents
 
 
@@ -195,7 +198,7 @@ def optimal_recursive_exponent(err: ErrorParams, ps: float = 1.0) -> tuple[float
     lo, hi = target_window(err)
     f_lower = find_fixed_points(err).lower
 
-    def scan(a: float, b: float, n: int) -> tuple[float, ScalingResult]:
+    def scan(a: float, b: float, n: int) -> tuple[float, float]:
         targets = a + (b - a) * np.arange(n) / (n - 1)
         starts = swap_fidelity(targets, 2, err)
         keep = (f_lower < starts) & (starts < targets)
@@ -204,12 +207,12 @@ def optimal_recursive_exponent(err: ErrorParams, ps: float = 1.0) -> tuple[float
         targets, starts = targets[keep], starts[keep]
         # argmin keeps the first of equal minima, like a strict-less-than scan.
         best = int(np.argmin(_bounded_lockstep_exponents(starts, targets, err, ps)))
-        ft = float(targets[best])
-        return ft, scaling_from_steps(_iterate_steps(float(starts[best]), ft, err), ps)
+        return float(targets[best]), float(starts[best])
 
     coarse_ft, _ = scan(lo, hi, SCAN_POINTS)
     cell = (hi - lo) / (SCAN_POINTS - 1)
-    return scan(max(lo, coarse_ft - cell), min(hi, coarse_ft + cell), SCAN_POINTS)
+    ft, f0 = scan(max(lo, coarse_ft - cell), min(hi, coarse_ft + cell), SCAN_POINTS)
+    return ft, scaling_from_steps(_iterate_steps(f0, ft, err), ps)
 
 
 def total_resources(path_links: float, exponent: float) -> float:

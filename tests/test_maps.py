@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from repeater_scaling.exceptions import FidelityClampWarning
+import repeater_scaling.maps as maps
 from repeater_scaling.maps import (
     ErrorParams,
     _clamp_unit,
+    _purify_kernel,
     decay,
     purify,
     purify_coefficients,
@@ -131,6 +133,47 @@ class TestPurify:
                 for er in np.linspace(0.0, 0.05, 11)
             ]
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestPurifyKernel:
+    # The lock-step scan runs the kernel unchecked; the public map must be the
+    # same arithmetic with its checks around it.
+    FIDELITIES = np.concatenate(
+        ([1.0, 0.25, 0.5], 1.0 - np.random.default_rng(20241020).uniform(0.0, 1.0, 509))
+    )
+
+    @pytest.mark.parametrize(
+        "err",
+        [ErrorParams(eps_r=0.004), ErrorParams(eps_g=0.004, eps_r=0.006),
+         ErrorParams(eps_g=0.0289, eps_r=0.0)],
+        ids=["eps_g-0", "moderate", "below-threshold"],
+    )
+    def test_bit_identical_to_purify(self, err):
+        inputs = [self.FIDELITIES]
+        for v in self.FIDELITIES[:40].tolist():
+            inputs += [v, np.float64(v), np.array(v)]
+        for f in inputs:
+            expected = purify(f, err)
+            got = _purify_kernel(f, err)
+            assert type(got[0]) is type(expected.fidelity)
+            assert _bits(got[0]) == _bits(expected.fidelity)
+            assert _bits(got[1]) == _bits(expected.p_accept)
+
+    def test_public_checks_are_kept(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"^fidelity must lie in \(0\.0, 1\], got 1\.5$"):
+            purify(1.5, ZERO)
+        monkeypatch.setattr(maps, "_purify_kernel", lambda f, err: (1.0 + 1e-12, 1.0))
+        with pytest.warns(FidelityClampWarning, match="fidelity clamped to 1.0") as record:
+            assert purify(0.9, ZERO).fidelity == 1.0
+        # the warning names purify's caller, not purify itself
+        assert record[0].filename == __file__
+        monkeypatch.setattr(maps, "_purify_kernel", lambda f, err: (1.0 + 1e-6, 1.0))
+        with pytest.raises(ValueError, match="exceeds 1 beyond tolerance"):
+            purify(0.9, ZERO)
 
 
 class TestPurifyCoefficients:
@@ -318,10 +361,15 @@ class TestSwapArrayBits:
     @pytest.mark.parametrize("n_links", [2, 3, 4])
     @pytest.mark.parametrize("absorbed", [True, False])
     def test_array_equals_float_path(self, n_links, absorbed):
-        fidelities = 1.0 - np.random.default_rng(20241019).uniform(0.0, 0.75, 20000)
-        got = swap_fidelity(fidelities, n_links, self.ERR, absorbed)
-        expected = [swap_fidelity(v, n_links, self.ERR, absorbed) for v in fidelities.tolist()]
-        assert got.tolist() == expected
+        # 512 is the size of one stage of the target scan
+        for seed, size in ((20241019, 20000), (20241021, 512)):
+            fidelities = 1.0 - np.random.default_rng(seed).uniform(0.0, 0.75, size)
+            got = swap_fidelity(fidelities, n_links, self.ERR, absorbed)
+            expected = [swap_fidelity(v, n_links, self.ERR, absorbed) for v in fidelities.tolist()]
+            assert got.tolist() == expected
+        square = swap_fidelity(fidelities.reshape(32, 16), n_links, self.ERR, absorbed)
+        assert square.shape == (32, 16)
+        assert square.ravel().tolist() == expected
 
     @INPUT_KINDS
     @pytest.mark.parametrize(

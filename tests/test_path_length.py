@@ -1,4 +1,5 @@
 import math
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -100,6 +101,24 @@ class TestDecoherenceCondition:
             budget = _budget(*row)
             limit = max_path_length(budget)
             assert swap_after_decay(limit, budget) == pytest.approx(budget.f_lower, abs=1e-9)
+
+    def test_swap_is_the_two_link_swap_bit_for_bit(self):
+        rng = random.Random(20241022)
+        checked = 0
+        while checked < 200:
+            f_lower = rng.uniform(0.51, 0.9)
+            budget = LinkBudget(
+                rate_hz=10 ** rng.uniform(-1.0, 3.0), t2_s=10 ** rng.uniform(-4.0, 1.0),
+                exponent=rng.uniform(1.0, 8.0), ft_star=rng.uniform(f_lower + 1e-3, 1.0),
+                f_lower=f_lower, eta=rng.uniform(0.51, 1.0),
+            )
+            links = rng.uniform(1.0, 10.0)
+            decayed = decay(budget.ft_star, links**budget.exponent / budget.rate_hz, budget.t2_s)
+            if decayed <= 0.25:
+                continue
+            err = ErrorParams(eta_s=budget.eta)
+            assert swap_after_decay(links, budget) == swap_fidelity(decayed, 2, err)
+            checked += 1
 
     def test_rejects_zero_links(self):
         with pytest.raises(ValueError):

@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
+import repeater_scaling.recursive as recursive
 from repeater_scaling.analytic import optimal_target_fidelity
 from repeater_scaling.exceptions import InfeasibleError
 from repeater_scaling.fixed_points import find_fixed_points, target_window
-from repeater_scaling.maps import ErrorParams, purify, swap_fidelity
+from repeater_scaling.maps import ErrorParams, _purify_kernel, purify, swap_fidelity
 from repeater_scaling.platforms import default_platforms_path, load_platforms
 from repeater_scaling.recursive import (
     ProtocolParams,
@@ -223,6 +224,46 @@ class TestLockstepScanExactness:
         for search in (scalar_scan, optimal_recursive_exponent):
             with pytest.raises(InfeasibleError):
                 search(err)
+
+
+class TestUncheckedRounds:
+    # The lock-step rounds skip purify's range check and clamp.  That is safe
+    # because every fidelity they see or make lies in (1/4, 1).
+    @pytest.mark.parametrize(
+        "eps_g, eps_r, ps",
+        _exactness_cases()
+        + [pytest.param(0.0, eps_r, 1.0, id=f"eps_g0-{eps_r}") for eps_r in (0.0, 0.003, 0.01)],
+    )
+    def test_round_fidelities_lie_in_open_quarter_to_one(self, monkeypatch, eps_g, eps_r, ps):
+        seen = []
+
+        def spy(f, err):
+            out = _purify_kernel(f, err)
+            seen.extend((f, out[0]))
+            return out
+
+        monkeypatch.setattr(recursive, "_purify_kernel", spy)
+        try:
+            optimal_recursive_exponent(ErrorParams(eps_g=eps_g, eps_r=eps_r), ps)
+        except InfeasibleError:
+            assert not seen
+            return
+        assert seen
+        assert 0.25 < min(float(np.min(f)) for f in seen)
+        assert max(float(np.max(f)) for f in seen) < 1.0
+
+    @pytest.mark.parametrize("eps_g, eps_r, ps", _exactness_cases()[:8])
+    def test_one_scalar_trace_per_search(self, monkeypatch, eps_g, eps_r, ps):
+        scalar_calls = 0
+
+        def counting_purify(f, err):
+            nonlocal scalar_calls
+            scalar_calls += isinstance(f, float)
+            return purify(f, err)
+
+        monkeypatch.setattr(recursive, "purify", counting_purify)
+        _, result = optimal_recursive_exponent(ErrorParams(eps_g=eps_g, eps_r=eps_r), ps)
+        assert scalar_calls == result.steps
 
 
 def _bound_cases():
