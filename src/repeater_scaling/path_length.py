@@ -24,13 +24,14 @@ __all__ = [
 
 
 def check_budget_inputs(rate_hz: float, t2_s: float, exponent: float | None = None) -> None:
-    """Reject a non-positive rate or coherence time, or an exponent below 1."""
-    if rate_hz <= 0.0:
-        raise ValueError(f"rate_hz must be positive, got {rate_hz}")
-    if t2_s <= 0.0:
-        raise ValueError(f"t2_s must be positive, got {t2_s}")
-    if exponent is not None and exponent < 1.0:
-        raise ValueError(f"exponent must be >= 1, got {exponent}")
+    """Require finite positive rate and coherence time, and a finite exponent >= 1."""
+    for label, value in (("rate_hz", rate_hz), ("t2_s", t2_s)):
+        if not math.isfinite(value):
+            raise ValueError(f"{label} must be finite, got {value}")
+        if value <= 0.0:
+            raise ValueError(f"{label} must be positive, got {value}")
+    if exponent is not None and not (math.isfinite(exponent) and exponent >= 1.0):
+        raise ValueError(f"exponent must be finite and >= 1, got {exponent}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Platform dataset handling and derived figure-of-merit tables and sweeps."""
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -15,7 +16,7 @@ from .analytic import (
 from .exceptions import InfeasibleError
 from .fixed_points import find_fixed_points
 from .maps import ErrorParams, swap_fidelity
-from .path_length import link_budget, max_path_length
+from .path_length import check_budget_inputs, link_budget, max_path_length
 from .recursive import ProtocolParams, optimal_recursive_exponent, resource_exponent
 
 __all__ = [
@@ -61,15 +62,19 @@ class Platform:
             problems.append(f"eps_g must be >= 0, got {self.eps_g}")
         if self.eps_r < 0.0:
             problems.append(f"eps_r must be >= 0, got {self.eps_r}")
-        if self.rate_hz <= 0.0:
-            problems.append(f"rate_hz must be > 0, got {self.rate_hz}")
-        if self.t2_s <= 0.0:
-            problems.append(f"t2_s must be > 0, got {self.t2_s}")
+        try:
+            check_budget_inputs(self.rate_hz, self.t2_s)
+        except ValueError as exc:
+            problems.append(str(exc))
         return problems
 
     @property
     def errors(self) -> ErrorParams:
         return ErrorParams(eps_g=self.eps_g, eps_r=self.eps_r)
+
+    def path_length(self, exponent: float) -> float:
+        """Decoherence-limited path length at a given resource exponent."""
+        return max_path_length(link_budget(self.errors, self.rate_hz, self.t2_s, exponent))
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,8 @@ class PlatformRow:
     closed-form optimal target; the ``_optimal`` twins re-optimise the target
     for the trace itself, whose step count is integer-valued and therefore
     has its own optimum.  Published reference tables do not state which
-    convention they used, so both are kept.
+    convention they used, so both are kept.  The twins run the target scan on
+    first read (the CLI table prints neither); its errors propagate from there.
     """
 
     platform: Platform
@@ -89,8 +95,17 @@ class PlatformRow:
     lambda_tilde: float | None = None
     lambda_recursive: float | None = None
     d_star: float | None = None
-    lambda_recursive_optimal: float | None = None
-    d_star_optimal: float | None = None
+
+    @functools.cached_property
+    def lambda_recursive_optimal(self) -> float | None:
+        if not self.feasible:
+            return None
+        return optimal_recursive_exponent(self.platform.errors)[1].exponent
+
+    @functools.cached_property
+    def d_star_optimal(self) -> float | None:
+        exponent = self.lambda_recursive_optimal
+        return None if exponent is None else self.platform.path_length(exponent)
 
 
 @dataclass(frozen=True)
@@ -126,9 +141,10 @@ class SweepGrid:
                 raise ValueError(f"{label} steps must be >= 2, got {steps}")
             if not 0.0 <= start <= stop <= 0.1:
                 raise ValueError(f"{label} range must satisfy 0 <= start <= stop <= 0.1")
-        budget = (self.rate_hz, self.t2_s)
-        if self.quantity == "dstar" and (None in budget or min(budget) <= 0.0):
-            raise ValueError(f"dstar sweeps need positive rate_hz and t2_s, got {budget}")
+        if self.quantity == "dstar":
+            if None in (self.rate_hz, self.t2_s):
+                raise ValueError("dstar sweeps need rate_hz and t2_s")
+            check_budget_inputs(self.rate_hz, self.t2_s)
 
     def eps_r_values(self) -> list[float]:
         return _linspace(self.eps_r_start, self.eps_r_stop, self.eps_r_steps)
@@ -176,16 +192,8 @@ def load_platforms(path) -> list[Platform]:
             problems.append(f"entry {i}: unknown fields {unknown}")
             continue
         try:
-            platforms.append(
-                Platform(
-                    name=str(entry["name"]),
-                    eps_g=float(entry["eps_g"]),
-                    eps_r=float(entry["eps_r"]),
-                    rate_hz=float(entry["rate_hz"]),
-                    t2_s=float(entry["t2_s"]),
-                    note=str(entry.get("note", "")),
-                )
-            )
+            platforms.append(Platform(name=str(entry["name"]), note=str(entry.get("note", "")),
+                                      **{f: float(entry[f]) for f in _FIELDS[1:]}))
         except (TypeError, ValueError) as exc:
             problems.append(f"entry {i} ({entry.get('name', '?')}): {exc}")
     if problems:
@@ -195,11 +203,7 @@ def load_platforms(path) -> list[Platform]:
 
 def dump_platforms(platforms: list[Platform]) -> str:
     """Serialise platforms to the dataset JSON format."""
-    entries = []
-    for p in platforms:
-        entry = {f: getattr(p, f) for f in _FIELDS}
-        entry["note"] = p.note
-        entries.append(entry)
+    entries = [{f: getattr(p, f) for f in _FIELDS + ("note",)} for p in platforms]
     return json.dumps(entries, indent=2) + "\n"
 
 
@@ -212,26 +216,23 @@ def evaluate_platform(platform: Platform) -> PlatformRow:
 
     The target fidelity comes from the closed-form optimum, the post-swap
     fidelity from the exact two-link swap; the analytic exponent is computed
-    without the step ceiling.  The path-length columns use the corresponding
-    recursive exponents.
+    without the step ceiling, the path length from the recursive exponent.
+    Only :class:`InfeasibleError` or an empty window makes a row infeasible.
     """
     err = platform.errors
     try:
         ft = optimal_target_fidelity(platform.eps_g)
-        f0 = float(swap_fidelity(ft, 2, err))
+        # ft leaves the swap's domain above eps_g ~ 0.19; f0 = ft = 1 at eps_g = eps_r = 0.
+        f0 = float(swap_fidelity(ft, 2, err)) if ft > 0.25 else ft
+        if not f0 < ft:
+            return PlatformRow(platform=platform, feasible=False)
         # Both estimates check the window against the fixed points.
         tilde = exponent_estimate(f0, ft, err)
         recursive = resource_exponent(ProtocolParams(ft=ft, err=err, f0=f0))
         if not (tilde.feasible and recursive.feasible):
             return PlatformRow(platform=platform, feasible=False)
-        _, recursive_opt = optimal_recursive_exponent(err)
-
-        def d_star_for(exponent: float) -> float:
-            return max_path_length(link_budget(err, platform.rate_hz, platform.t2_s, exponent))
-
-        d_star = d_star_for(recursive.exponent)
-        d_star_opt = d_star_for(recursive_opt.exponent)
-    except (InfeasibleError, ValueError):
+        d_star = platform.path_length(recursive.exponent)
+    except InfeasibleError:
         return PlatformRow(platform=platform, feasible=False)
     return PlatformRow(
         platform=platform,
@@ -240,8 +241,6 @@ def evaluate_platform(platform: Platform) -> PlatformRow:
         lambda_tilde=tilde.exponent,
         lambda_recursive=recursive.exponent,
         d_star=d_star,
-        lambda_recursive_optimal=recursive_opt.exponent,
-        d_star_optimal=d_star_opt,
     )
 
 

@@ -2,7 +2,9 @@
 
 Each case runs ``cli.main`` in process and records its exit code, stdout,
 stderr, warnings, and the bytes of any ``--out`` or ``--hist-out`` file in
-``tests/golden/<name>.txt``.  The test compares those bytes exactly.
+``tests/golden/<name>.txt``.  A case listed in ``DATASETS`` first writes its
+dataset to the file that ``{data}`` names; the dataset is recorded too.  The
+test compares those bytes exactly.
 
 Regenerate after a deliberate change of the output contract with
 
@@ -21,7 +23,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from repeater_scaling import cli
+from repeater_scaling import cli, platforms, recursive
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
 
@@ -33,6 +35,12 @@ GRID_THRESHOLD = ["--eps-r", "0:0.012:6", "--eps-g", "0.022:0.031:12"]
 # A small grid around the threshold.
 GRID_NEAR = ["--eps-r", "0.001:0.005:4", "--eps-g", "0.025:0.029:6"]
 DSTAR_BUDGET = ["--rate", "10", "--t2", "1"]
+
+# Platform datasets of the cases that read one, by case name.
+DATASETS = {
+    "usage-platforms-nan-t2": '[{"name": "X", "eps_g": 5e-4, "eps_r": 1e-4, "rate_hz": 1.0, '
+                              '"t2_s": NaN}]\n',
+}
 
 
 def _cases() -> dict[str, list[str]]:
@@ -87,17 +95,28 @@ def _cases() -> dict[str, list[str]]:
     cases["usage-missing-argument"] = ["lambda", "--eps-g", "0.01"]
     cases["usage-dstar-bad-rate"] = ["dstar", "--rate", "0", "--t2", "1", *SIV]
     cases["usage-purify-curve-points"] = ["purify-curve", *SIV, "--points", "1"]
+    # Non-finite budgets are argument errors, not rows of nan.
+    cases["usage-platforms-nan-t2"] = ["platforms", "--data", "{data}"]
+    cases["usage-dstar-nan-lambda"] = siv_dstar + ["--lambda", "nan"]
+    cases["usage-sweep-dstar-nan-t2"] = ["sweep", "--quantity", "dstar", *GRID_NEAR,
+                                         "--rate", "10", "--t2", "nan"]
     return cases
 
 
 CASES = _cases()
 
 
-def render(argv: list[str]) -> str:
-    """Run one case in process and render everything it emitted as text."""
+def render(argv: list[str], dataset: str | None = None) -> str:
+    """Run one case in process and render everything it emitted as text.
+
+    File paths in the output read as their placeholders, e.g. ``{data}``.
+    """
     with tempfile.TemporaryDirectory() as tmp:
-        files = {"out": Path(tmp, "out.csv"), "hist": Path(tmp, "hist.csv")}
-        args = [a.format(out=files["out"], hist=files["hist"]) for a in argv]
+        files = {"out": Path(tmp, "out.csv"), "hist": Path(tmp, "hist.csv"),
+                 "data": Path(tmp, "data.json")}
+        if dataset is not None:
+            files["data"].write_text(dataset, encoding="utf-8")
+        args = [a.format(**files) for a in argv]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
                 warnings.catch_warnings(record=True) as caught:
@@ -108,6 +127,8 @@ def render(argv: list[str]) -> str:
             "stderr": stderr.getvalue(),
             "warnings": "".join(f"{w.category.__name__}: {w.message}\n" for w in caught),
         }
+        for name, path in files.items():
+            sections = {k: v.replace(str(path), f"{{{name}}}") for k, v in sections.items()}
         for name, path in files.items():
             if path.exists():
                 sections[name] = path.read_text(encoding="utf-8")
@@ -122,10 +143,23 @@ def test_every_case_reproduces_its_golden_bytes():
     changed = {}
     for name, argv in CASES.items():
         expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
-        got = render(argv)
+        got = render(argv, DATASETS.get(name))
         if got != expected:
             changed[name] = describe_change(expected, got)
     assert not changed, changed
+
+
+def test_platforms_table_does_not_run_the_target_scan(monkeypatch):
+    # The table prints the closed-form-target columns only; the trace-optimal
+    # twins of each row are computed on first read, which the CLI never does.
+    def scan(*args, **kwargs):
+        raise AssertionError("platforms ran the trace-optimal target scan")
+
+    for module in (cli, platforms, recursive):
+        monkeypatch.setattr(module, "optimal_recursive_exponent", scan)
+    monkeypatch.delenv(cli.PLATFORMS_ENV, raising=False)
+    expected = (GOLDEN_DIR / "platforms.txt").read_text(encoding="utf-8")
+    assert render(CASES["platforms"]) == expected
 
 
 def test_change_report_names_drift_and_flips():
@@ -202,7 +236,7 @@ def main(argv: list[str]) -> int:
     changed = 0
     for name in sorted(CASES):
         path = GOLDEN_DIR / f"{name}.txt"
-        new = render(CASES[name])
+        new = render(CASES[name], DATASETS.get(name))
         old = path.read_text(encoding="utf-8") if path.exists() else None
         if old == new:
             continue

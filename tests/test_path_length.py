@@ -9,6 +9,7 @@ from repeater_scaling.fixed_points import find_fixed_points
 from repeater_scaling.maps import ErrorParams, decay, swap_fidelity
 from repeater_scaling.path_length import (
     LinkBudget,
+    check_budget_inputs,
     link_budget,
     max_path_length,
     swap_after_decay,
@@ -67,6 +68,26 @@ class TestLinkBudget:
         base.update(kwargs)
         with pytest.raises(ValueError):
             LinkBudget(**base)
+
+
+class TestBudgetInputs:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("label", ["rate_hz", "t2_s"])
+    def test_non_finite_rate_or_coherence_time(self, label, value):
+        args = {"rate_hz": 1.0, "t2_s": 1.0, label: value}
+        with pytest.raises(ValueError, match=f"{label} must be finite, got {value}"):
+            check_budget_inputs(**args)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.5])
+    def test_exponent_must_be_finite_and_at_least_one(self, value):
+        with pytest.raises(ValueError, match="exponent must be finite and >= 1"):
+            check_budget_inputs(1.0, 1.0, value)
+
+    def test_non_positive_wording(self):
+        with pytest.raises(ValueError, match=r"^rate_hz must be positive, got 0.0$"):
+            check_budget_inputs(0.0, 1.0)
+        with pytest.raises(ValueError, match=r"^t2_s must be positive, got -1.0$"):
+            check_budget_inputs(1.0, -1.0)
 
 
 class TestDecoherenceCondition:

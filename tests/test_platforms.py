@@ -1,6 +1,14 @@
+import math
+import random
+
 import pytest
 
-from repeater_scaling.analytic import AnalyticOptions
+from repeater_scaling import platforms as platforms_module
+from repeater_scaling.analytic import AnalyticOptions, exponent_estimate, optimal_target_fidelity
+from repeater_scaling.exceptions import InfeasibleError
+from repeater_scaling.fixed_points import gate_error_threshold
+from repeater_scaling.maps import swap_fidelity
+from repeater_scaling.path_length import link_budget, max_path_length
 from repeater_scaling.platforms import (
     Platform,
     SweepGrid,
@@ -11,6 +19,11 @@ from repeater_scaling.platforms import (
     load_platforms,
     save_platforms,
     sweep,
+)
+from repeater_scaling.recursive import (
+    ProtocolParams,
+    optimal_recursive_exponent,
+    resource_exponent,
 )
 
 # name -> (lambda_tilde, lambda_recursive, d_star) reference values
@@ -72,6 +85,14 @@ class TestDataset:
         with pytest.raises(ValueError):
             Platform(name="X", eps_g=0.001, eps_r=0.001, rate_hz=0.0, t2_s=1.0)
 
+    @pytest.mark.parametrize("field", ["rate_hz", "t2_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_budget_is_rejected(self, field, value):
+        fields = dict(name="X", eps_g=0.001, eps_r=0.001, rate_hz=1.0, t2_s=1.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Platform(**fields)
+
 
 @pytest.fixture(scope="module")
 def rows():
@@ -113,6 +134,104 @@ class TestEvaluate:
         row = evaluate_platform(hopeless)
         assert not row.feasible
         assert row.lambda_tilde is None and row.d_star is None
+
+    @pytest.mark.parametrize("eps_g, eps_r", [(0.0, 0.0), (0.3, 0.01), (0.9, 0.0)])
+    def test_empty_windows_are_infeasible_in_band(self, eps_g, eps_r):
+        # f0 = ft = 1 at the error-free corner; above eps_g ~ 0.19 the
+        # closed-form target lies below the swap's domain.
+        platform = Platform(name="X", eps_g=eps_g, eps_r=eps_r, rate_hz=1.0, t2_s=1.0)
+        row = evaluate_platform(platform)
+        assert not row.feasible
+        assert row.lambda_recursive_optimal is None and row.d_star_optimal is None
+
+    def test_errors_other_than_infeasibility_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("programming error")
+
+        monkeypatch.setattr(platforms_module, "exponent_estimate", broken)
+        siv = Platform(name="SiV", eps_g=5e-4, eps_r=1e-4, rate_hz=1.0, t2_s=2.1)
+        with pytest.raises(ValueError, match="programming error"):
+            evaluate_platform(siv)
+
+
+def _seeded_platforms(n: int, seed: int) -> list[Platform]:
+    """Broad rows (eps_g = 0 every 20th, eps_r = 0 every 23rd) and, every
+    fifth row, a gate error 1e-12 to 1e-2 below the threshold."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        if i % 5 == 4:
+            eps_r = rng.uniform(0.0, 0.05)
+            gap = math.exp(rng.uniform(math.log(1e-12), math.log(1e-2)))
+            eps_g = max(gate_error_threshold(eps_r) - gap, 0.0)
+        else:
+            eps_g = 0.0 if i % 20 == 0 else math.exp(rng.uniform(math.log(1e-5), math.log(0.03)))
+            eps_r = 0.0 if i % 23 == 0 else rng.uniform(0.0, 0.05)
+        rate_hz = math.exp(rng.uniform(math.log(0.1), math.log(300.0)))
+        t2_s = math.exp(rng.uniform(math.log(1e-4), math.log(3.0)))
+        out.append(Platform(name=f"p{i}", eps_g=eps_g, eps_r=eps_r, rate_hz=rate_hz, t2_s=t2_s))
+    return out
+
+
+class TestTraceOptimalTwins:
+    """The ``_optimal`` twins are computed on first read, from the row's platform."""
+
+    @pytest.fixture(scope="class")
+    def seeded(self):
+        platforms = _seeded_platforms(500, seed=1701)
+        return list(zip(platforms, evaluate_all(platforms)))
+
+    def test_feasible_is_both_estimates_feasible(self, seeded):
+        for platform, row in seeded:
+            err = platform.errors
+            ft = optimal_target_fidelity(platform.eps_g)
+            f0 = float(swap_fidelity(ft, 2, err))
+            expected = f0 < ft and (
+                exponent_estimate(f0, ft, err).feasible
+                and resource_exponent(ProtocolParams(ft=ft, err=err, f0=f0)).feasible
+            )
+            assert row.feasible == expected, platform
+        feasible = sum(row.feasible for _, row in seeded)
+        assert 0 < feasible < len(seeded)
+
+    def test_twins_equal_a_direct_scan(self, seeded):
+        for platform, row in seeded:
+            if not row.feasible:
+                assert row.lambda_recursive_optimal is None and row.d_star_optimal is None
+                continue
+            _, direct = optimal_recursive_exponent(platform.errors)
+            d_star = max_path_length(
+                link_budget(platform.errors, platform.rate_hz, platform.t2_s, direct.exponent))
+            assert repr(row.lambda_recursive_optimal) == repr(direct.exponent), platform
+            assert repr(row.d_star_optimal) == repr(d_star), platform
+
+    def test_scan_runs_once_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counting(err, ps=1.0):
+            calls.append(err)
+            return optimal_recursive_exponent(err, ps)
+
+        monkeypatch.setattr(platforms_module, "optimal_recursive_exponent", counting)
+        row = evaluate_platform(Platform(name="SiV", eps_g=5e-4, eps_r=1e-4, rate_hz=1.0,
+                                         t2_s=2.1))
+        assert calls == []
+        first = (row.d_star_optimal, row.lambda_recursive_optimal)
+        assert (row.d_star_optimal, row.lambda_recursive_optimal) == first
+        assert len(calls) == 1
+
+    def test_scan_errors_propagate_from_the_read(self, monkeypatch):
+        def failing(err, ps=1.0):
+            raise InfeasibleError("scan failed")
+
+        monkeypatch.setattr(platforms_module, "optimal_recursive_exponent", failing)
+        row = evaluate_platform(Platform(name="SiV", eps_g=5e-4, eps_r=1e-4, rate_hz=1.0,
+                                         t2_s=2.1))
+        assert row.feasible and row.d_star is not None
+        with pytest.raises(InfeasibleError, match="scan failed"):
+            row.lambda_recursive_optimal
+        with pytest.raises(InfeasibleError, match="scan failed"):
+            row.d_star_optimal
 
 
 class TestSweep:
@@ -202,7 +321,7 @@ class TestSweep:
         assert all(c.feasible and 0.5 < c.value < 1.0 for c in cells)
 
     def test_dstar_quantity_requires_budget(self):
-        for rate_hz in (None, -1.0):
+        for rate_hz in (None, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="rate_hz"):
                 SweepGrid(
                     quantity="dstar",
