@@ -9,7 +9,6 @@ Carlo protocol simulator.
 from .analytic import (
     AnalyticOptions,
     acceptance_geomean,
-    adaptive_simpson,
     average_gain,
     exponent_estimate,
     minimize_exponent,

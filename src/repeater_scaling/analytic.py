@@ -3,21 +3,23 @@
 The estimators replace the step-by-step purification trace with interval
 averages: the mean fidelity gain over the purification window gives the step
 count, and the geometric mean of the acceptance probability gives the cost
-per step.  Each average has two evaluation routes, adaptive quadrature
-(ground truth) and a closed form (fast path), which are required to agree.
+per step.  Each average has two evaluation routes, a fixed 16-node
+Gauss-Legendre rule (ground truth) and a closed form (fast path), which are
+required to agree.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exceptions import InfeasibleError
 from .fixed_points import feasible_for, target_window
-from .maps import ErrorParams, purify, purify_coefficients, swap_fidelity
-from .recursive import ScalingResult
+from .maps import ErrorParams, check_error_rates, purify, purify_coefficients, swap_fidelity
+from .recursive import ScalingResult, check_unit_interval
 
 __all__ = [
     "AnalyticOptions",
-    "adaptive_simpson",
     "average_gain",
     "steps_estimate",
     "acceptance_geomean",
@@ -30,8 +32,10 @@ __all__ = [
 
 QUADRATURE = "quadrature"
 CLOSED_FORM = "closed-form"
-# Absolute tolerance of the quadrature route.
-QUAD_TOL = 1e-10
+# Quadrature route: 16-node Gauss-Legendre on [0, 1], weights summing to 1.  Both
+# integrands are analytic around every window, so the rule converges to rounding.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -56,28 +60,6 @@ class AnalyticOptions:
 
 
 DEFAULT_OPTIONS = AnalyticOptions()
-
-
-def adaptive_simpson(func, lower: float, upper: float, tol: float = 1e-10) -> float:
-    """Adaptive Simpson quadrature with Richardson error control."""
-
-    def recurse(a, b, fa, fm, fb, whole, eps, depth):
-        mid = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + mid), 0.5 * (mid + b)
-        flm, frm = func(lm), func(rm)
-        left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
-        if depth <= 0 or abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        return recurse(a, mid, fa, flm, fm, left, 0.5 * eps, depth - 1) + recurse(
-            mid, b, fm, frm, fb, right, 0.5 * eps, depth - 1
-        )
-
-    fa, fb = func(lower), func(upper)
-    fm = func(0.5 * (lower + upper))
-    whole = (upper - lower) / 6.0 * (fa + 4.0 * fm + fb)
-    return recurse(lower, upper, fa, fm, fb, whole, tol, 48)
 
 
 def _require_window(f0: float, ft: float, err: ErrorParams) -> None:
@@ -126,22 +108,17 @@ def _log_acceptance_integral(f0: float, ft: float, err: ErrorParams) -> float:
 
 def _average_gain_raw(f0, ft, err, opts: AnalyticOptions) -> float:
     if opts.integral_mode == CLOSED_FORM:
-        integral = _gain_integral(f0, ft, err)
-    else:
-        integral = adaptive_simpson(
-            lambda f: purify(f, err).fidelity - f, f0, ft, QUAD_TOL
-        )
-    return integral / (ft - f0)
+        return _gain_integral(f0, ft, err) / (ft - f0)
+    nodes = f0 + (ft - f0) * _GL_NODES
+    return float(_GL_WEIGHTS @ (purify(nodes, err).fidelity - nodes))
 
 
 def _acceptance_geomean_raw(f0, ft, err, opts: AnalyticOptions) -> float:
     if opts.integral_mode == CLOSED_FORM:
-        integral = _log_acceptance_integral(f0, ft, err)
+        log_mean = _log_acceptance_integral(f0, ft, err) / (ft - f0)
     else:
-        integral = adaptive_simpson(
-            lambda f: math.log(purify(f, err).p_accept), f0, ft, QUAD_TOL
-        )
-    mean = math.exp(integral / (ft - f0))
+        log_mean = _GL_WEIGHTS @ np.log(purify(f0 + (ft - f0) * _GL_NODES, err).p_accept)
+    mean = math.exp(log_mean)
     if not 0.0 < mean <= 1.0:
         raise ValueError(f"acceptance geometric mean left (0, 1]: {mean}")
     return mean
@@ -176,6 +153,7 @@ def exponent_estimate(
     opts: AnalyticOptions = DEFAULT_OPTIONS,
 ) -> ScalingResult:
     """Non-recursive resource exponent for one nesting level; infeasibility in-band."""
+    check_unit_interval("ps", ps)
     try:
         _require_window(f0, ft, err)
     except InfeasibleError:
@@ -195,8 +173,10 @@ def window_exponent(
     Unlike :func:`exponent_estimate`, the window is not checked against the
     fixed points: the averages are taken wherever ``f0 < ft``, and a mean gain
     that is not positive is reported as an infeasible result.  A geometric
-    mean acceptance outside (0, 1] raises ``ValueError``.
+    mean acceptance outside (0, 1] raises ``ValueError``, as does ``ps``
+    outside (0, 1].
     """
+    check_unit_interval("ps", ps)
     if not f0 < ft:
         raise ValueError(f"expected f0 < ft, got f0={f0}, ft={ft}")
     gain = _average_gain_raw(f0, ft, err, opts)
@@ -227,10 +207,9 @@ def optimal_target_fidelity(eps_g: float, eps_r: float | None = None) -> float:
 
     The reduced form (``eps_r`` omitted) neglects the read-out error, whose
     influence on the optimum is small; passing ``eps_r`` selects the longer
-    expression that retains it.
+    expression that retains it.  The error rates obey :class:`ErrorParams`' ranges.
     """
-    if eps_g < 0.0:
-        raise ValueError(f"eps_g must be non-negative, got {eps_g}")
+    check_error_rates(eps_g, 0.0 if eps_r is None else eps_r)
     if eps_r is None:
         radicand = eps_g**2 + 0.15 * eps_g
         return (-1.16 * eps_g - 4.28 * math.sqrt(radicand) + 1.9) / (2.66 * eps_g + 1.9)
@@ -253,8 +232,7 @@ def optimal_target_fidelity(eps_g: float, eps_r: float | None = None) -> float:
 
 def small_error_exponent(eps_g: float) -> float:
     """Small-gate-error expansion of the optimal exponent; 3 is its floor."""
-    if eps_g < 0.0:
-        raise ValueError(f"eps_g must be non-negative, got {eps_g}")
+    check_error_rates(eps_g)
     return 3.0 + 14.0 * math.sqrt(eps_g) + 38.0 * eps_g
 
 

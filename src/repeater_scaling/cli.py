@@ -34,6 +34,7 @@ from .platforms import (
 from .recursive import (
     ProtocolParams,
     ScalingResult,
+    check_unit_interval,
     optimal_recursive_exponent,
     resource_exponent,
 )
@@ -172,7 +173,10 @@ def _analytic_options(args) -> AnalyticOptions:
 
 
 def _resolve_ft(ft_arg, eps_g: float) -> float:
-    return optimal_target_fidelity(eps_g) if ft_arg == "auto" else ft_arg
+    if ft_arg == "auto":
+        return optimal_target_fidelity(eps_g)
+    check_unit_interval("ft", ft_arg)
+    return ft_arg
 
 
 def _cmd_purify_curve(args) -> int:
@@ -200,6 +204,8 @@ def _cmd_purify_curve(args) -> int:
 def _cmd_lambda(args) -> int:
     err = ErrorParams(eps_g=args.eps_g, eps_r=args.eps_r)
     ft = _resolve_ft(args.ft, args.eps_g)
+    # Before the window test: at f0 = ft = 1 a bad ps would read as an infeasible row.
+    check_unit_interval("ps", args.ps)
     f0 = float(swap_fidelity(ft, 2, err))
     opts = _analytic_options(args)
     if not f0 < ft:

@@ -18,6 +18,7 @@ from .exceptions import FidelityClampWarning
 __all__ = [
     "ErrorParams",
     "PurifyResult",
+    "check_error_rates",
     "purify_ideal",
     "purify",
     "purify_coefficients",
@@ -28,6 +29,14 @@ __all__ = [
 
 # Tolerated floating-point excursion outside (0, 1] before clamping is an error.
 CLAMP_TOLERANCE = 1e-9
+
+
+def check_error_rates(eps_g: float, eps_r: float = 0.0) -> None:
+    """Require ``eps_g`` in [0, 1) and ``eps_r`` in [0, 0.5); NaN fails both."""
+    if not 0.0 <= eps_g < 1.0:
+        raise ValueError(f"eps_g must be in [0, 1), got {eps_g}")
+    if not 0.0 <= eps_r < 0.5:
+        raise ValueError(f"eps_r must be in [0, 0.5), got {eps_r}")
 
 
 @dataclass(frozen=True)
@@ -51,10 +60,7 @@ class ErrorParams:
     eta_s: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.eps_g < 1.0:
-            raise ValueError(f"eps_g must be in [0, 1), got {self.eps_g}")
-        if not 0.0 <= self.eps_r < 0.5:
-            raise ValueError(f"eps_r must be in [0, 0.5), got {self.eps_r}")
+        check_error_rates(self.eps_g, self.eps_r)
         if min(self.p_x, self.p_y, self.p_z) < 0.0:
             raise ValueError("Pauli weights must be non-negative")
         if abs(self.p_x + self.p_y + self.p_z - 1.0) > 1e-12:

@@ -17,6 +17,7 @@ from .fixed_points import feasible_for, find_fixed_points, target_window
 from .maps import ErrorParams, _purify_kernel, purify, swap_fidelity
 
 __all__ = [
+    "check_unit_interval",
     "ProtocolParams",
     "TraceStep",
     "PurificationTrace",
@@ -35,6 +36,12 @@ MAX_TRACE_STEPS = 10**6
 SCAN_POINTS = 512
 
 
+def check_unit_interval(name: str, value: float) -> None:
+    """Require ``0 < value <= 1``, the rule of a fidelity or a probability; NaN fails."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """One nesting level of the protocol: swap to ``f0``, purify back to ``ft``.
@@ -50,10 +57,8 @@ class ProtocolParams:
     ps: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.ft <= 1.0:
-            raise ValueError(f"ft must lie in (0, 1], got {self.ft}")
-        if not 0.0 < self.ps <= 1.0:
-            raise ValueError(f"ps must lie in (0, 1], got {self.ps}")
+        check_unit_interval("ft", self.ft)
+        check_unit_interval("ps", self.ps)
         if self.f0 is None:
             object.__setattr__(self, "f0", float(swap_fidelity(self.ft, 2, self.err)))
         if not self.f0 < self.ft:

@@ -1,5 +1,8 @@
+import csv
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,6 @@ from repeater_scaling.analytic import (
     AnalyticOptions,
     CLOSED_FORM,
     acceptance_geomean,
-    adaptive_simpson,
     average_gain,
     exponent_estimate,
     minimize_exponent,
@@ -28,28 +30,12 @@ CLOSED = AnalyticOptions(integral_mode=CLOSED_FORM)
 
 
 def composite_simpson(fun, a, b, panels=4000):
-    # fixed-panel oracle, independent of the adaptive routine
+    # fixed-panel oracle, independent of the Gauss-Legendre rule
     h = (b - a) / panels
     total = fun(a) + fun(b)
     for i in range(1, panels):
         total += fun(a + i * h) * (4 if i % 2 else 2)
     return total * h / 3.0
-
-
-class TestAdaptiveSimpson:
-    def test_polynomial_is_exact(self):
-        assert adaptive_simpson(lambda x: x * x, 0.0, 2.0, 1e-12) == pytest.approx(
-            8.0 / 3.0, abs=1e-12
-        )
-
-    def test_transcendental(self):
-        assert adaptive_simpson(math.sin, 0.0, math.pi, 1e-12) == pytest.approx(2.0, abs=1e-10)
-
-    def test_constant_geometric_mean(self):
-        # the geometric mean of a constant acceptance is the constant
-        width = 0.3
-        integral = adaptive_simpson(lambda _: math.log(0.77), 0.6, 0.9, 1e-12)
-        assert math.exp(integral / width) == pytest.approx(0.77, abs=1e-12)
 
 
 class TestAverageGain:
@@ -193,6 +179,15 @@ class TestWindowExponent:
         with pytest.raises(ValueError):
             window_exponent(0.9, 0.9, ZERO)
 
+    @pytest.mark.parametrize("ps", [math.nan, 0.0, -0.5, 1.5, math.inf])
+    def test_rejects_swap_probability_outside_unit_interval(self, ps):
+        # the rule and message of ProtocolParams, before any solve
+        for estimate in (window_exponent, exponent_estimate):
+            with pytest.raises(ValueError, match=r"ps must lie in \(0, 1\], got"):
+                estimate(0.7, 0.9, ZERO, ps)
+        with pytest.raises(ValueError, match=r"ps must lie in \(0, 1\], got"):
+            ProtocolParams(ft=0.9, err=ZERO, ps=ps)
+
     def test_closed_form_agrees_with_quadrature_on_a_narrow_window(self):
         # a swap-tied window about 6e-9 wide just below F = 1
         ft = 0.9999999938908686
@@ -224,6 +219,44 @@ def test_closed_form_agrees_with_quadrature_on_windows_near_one():
         assert closed.exponent == pytest.approx(quad.exponent, rel=1e-8), (err, f0, ft)
 
 
+# 40-digit exponents over fixed windows, from tests/data/make_window_reference.py.
+REFERENCE_CELLS = list(csv.DictReader(
+    (Path(__file__).parent / "data" / "window_reference.csv").read_text(encoding="utf-8")
+    .splitlines()
+))
+# Drawn near the gate-error threshold, where the gain integral cancels (condition 1.16e5).
+SEEDED_CELL = ("0.026640390885245457", "0.004152875230934107")
+
+
+class TestReferenceCells:
+    @pytest.mark.parametrize("opts", [AnalyticOptions(), CLOSED], ids=lambda o: o.method)
+    def test_relative_error_within_condition(self, opts):
+        assert len(REFERENCE_CELLS) >= 50
+        for cell in REFERENCE_CELLS:
+            eps_g, eps_r, ft, f0, mean_gain, condition = (
+                float(cell[k]) for k in ("eps_g", "eps_r", "ft", "f0", "mean_gain", "condition")
+            )
+            result = window_exponent(f0, ft, ErrorParams(eps_g=eps_g, eps_r=eps_r), opts=opts)
+            if not cell["lambda_tilde"]:
+                assert not result.feasible, cell
+                continue
+            reference = float(cell["lambda_tilde"])
+            relative = abs(result.exponent - reference) / reference
+            # The gain is a difference of two numbers near F, so its mean carries
+            # an absolute error of order eps * F on any route.  That floor, not
+            # the rule, sets the error on the 6e-9-wide window just below F = 1.
+            floor = sys.float_info.epsilon * ft / mean_gain
+            assert relative <= max(1e-12 * condition, floor), (cell, relative)
+
+    def test_seeded_cell_near_the_threshold(self):
+        (cell,) = [c for c in REFERENCE_CELLS if (c["eps_g"], c["eps_r"]) == SEEDED_CELL]
+        err = ErrorParams(eps_g=float(cell["eps_g"]), eps_r=float(cell["eps_r"]))
+        result = window_exponent(float(cell["f0"]), float(cell["ft"]), err)
+        reference = float(cell["lambda_tilde"])
+        assert float(cell["condition"]) > 1e5
+        assert abs(result.exponent - reference) <= 1e-7 * reference
+
+
 class TestOptimalTarget:
     def test_zero_gate_error(self):
         assert optimal_target_fidelity(0.0) == pytest.approx(1.0, abs=1e-15)
@@ -247,6 +280,20 @@ class TestOptimalTarget:
     def test_negative_gate_error_rejected(self):
         with pytest.raises(ValueError):
             optimal_target_fidelity(-1e-3)
+
+    @pytest.mark.parametrize("eps_g", [math.nan, math.inf, 1.0, 2.0])
+    def test_gate_error_outside_error_params_range_rejected(self, eps_g):
+        with pytest.raises(ValueError, match=r"eps_g must be in \[0, 1\), got"):
+            optimal_target_fidelity(eps_g)
+        with pytest.raises(ValueError, match=r"eps_g must be in \[0, 1\), got"):
+            optimal_target_fidelity(eps_g, 0.001)
+        with pytest.raises(ValueError, match=r"eps_g must be in \[0, 1\), got"):
+            small_error_exponent(eps_g)
+
+    @pytest.mark.parametrize("eps_r", [math.nan, -1e-3, 0.5, 0.7])
+    def test_readout_error_outside_error_params_range_rejected(self, eps_r):
+        with pytest.raises(ValueError, match=r"eps_r must be in \[0, 0.5\), got"):
+            optimal_target_fidelity(0.005, eps_r)
 
 
 class TestSmallErrorExponent:

@@ -337,14 +337,15 @@ class TestParserReuse:
 def test_only_simulate_loads_numpy_random():
     # Importing the package must load no more of numpy than `import numpy`
     # does; numpy.random comes in when a simulation draws its first number.
+    # numpy is the only runtime dependency: scipy and mpmath stay unloaded.
     script = (
         "import sys, numpy\n"
         "before = 'numpy.random' in sys.modules\n"
         "import repeater_scaling.cli, repeater_scaling\n"
-        "print(before, 'numpy.random' in sys.modules)\n"
+        "print(before, *(m in sys.modules for m in ('numpy.random', 'scipy', 'mpmath')))\n"
     )
     src = os.path.dirname(os.path.dirname(repeater_scaling.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.split() == ["False", "False"]
+    assert done.stdout.split() == ["False"] * 4

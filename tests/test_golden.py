@@ -100,6 +100,13 @@ def _cases() -> dict[str, list[str]]:
     cases["usage-dstar-nan-lambda"] = siv_dstar + ["--lambda", "nan"]
     cases["usage-sweep-dstar-nan-t2"] = ["sweep", "--quantity", "dstar", *GRID_NEAR,
                                          "--rate", "10", "--t2", "nan"]
+    # Out-of-range arguments are argument errors, not rows: ps and ft in (0, 1],
+    # eps_g in [0, 1).
+    cases["usage-lambda-ps-above-one"] = ["lambda", *SIV, "--ps", "2"]
+    cases["usage-lambda-nan-ps"] = ["lambda", *SIV, "--ps", "nan"]
+    cases["usage-lambda-nan-ft"] = ["lambda", *SIV, "--ft", "nan"]
+    cases["usage-simulate-nan-ft"] = cases["simulate-L1"][:-2] + ["--ft", "nan"]
+    cases["usage-fstar-nan-eps-g"] = ["fstar", "--eps-g", "nan"]
     return cases
 
 
