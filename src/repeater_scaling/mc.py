@@ -10,6 +10,12 @@ The per-trial pair count is generated exactly without touching individual
 pairs: the attempts needed for n independent ladder steps with acceptance p
 are distributed as n plus a negative binomial, so one draw per (level, step)
 aggregates the whole branching process.
+
+Reproducibility contract: trials run in blocks of ``BLOCK``; block ``b``
+draws its trials in order from one generator keyed by ``(seed, b)``.  So
+results are reproducible from ``(seed, trials)``, a longer run extends a
+shorter one trial by trial, and each block depends only on ``(seed, b)``,
+not on other blocks or on the order blocks run in.
 """
 
 from collections import Counter
@@ -23,6 +29,8 @@ from .recursive import ProtocolParams, purification_trace, scaling_from_steps
 __all__ = ["SimConfig", "SimReport", "simulate_counts", "simulate", "histogram_csv"]
 
 MAX_CONSUMED = 10**9
+# Trials per generator; part of the reproducibility contract.
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -86,20 +94,22 @@ def simulate_counts(
     """Run trials over explicit per-step acceptance probabilities.
 
     Returns the consumed counts of completed trials and the number of aborted
-    trials.  Each trial draws from its own substream keyed by (seed, index),
-    so results do not depend on execution order.
+    trials.  Trial ``t`` is drawn, in order, from the generator of block
+    ``t // BLOCK``, keyed by ``(seed, t // BLOCK)``.  Each block therefore
+    depends only on ``(seed, block)``, and a longer run extends a shorter one.
     """
     if not step_probs:
         raise ValueError("need at least one purification step")
     counts: list[int] = []
     aborted = 0
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        consumed = _trial_consumed(rng, step_probs, swap_prob, levels)
-        if consumed is None:
-            aborted += 1
-        else:
-            counts.append(consumed)
+    for block, start in enumerate(range(0, trials, BLOCK)):
+        rng = np.random.default_rng((seed, block))
+        for _ in range(min(BLOCK, trials - start)):
+            consumed = _trial_consumed(rng, step_probs, swap_prob, levels)
+            if consumed is None:
+                aborted += 1
+            else:
+                counts.append(consumed)
     return counts, aborted
 
 

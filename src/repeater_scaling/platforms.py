@@ -260,6 +260,9 @@ def _sweep_cell(quantity: str, eps_r: float, eps_g: float, grid: SweepGrid,
                 return infeasible
             return SweepCell(eps_r, eps_g, ft, True)
         f0 = float(swap_fidelity(ft, 2, err))
+        # An empty swap-tied window (f0 = ft = 1 at eps_g = eps_r = 0) has no exponent.
+        if not f0 < ft:
+            return infeasible
         if quantity == "lambda":
             # The trace checks the window against the fixed points.
             result = resource_exponent(ProtocolParams(ft=ft, err=err, f0=f0))
@@ -267,8 +270,6 @@ def _sweep_cell(quantity: str, eps_r: float, eps_g: float, grid: SweepGrid,
             # Surface-plot convention: evaluate the interval averages over the
             # swap-tied window regardless of the fixed points and classify the
             # cell by the sign of the resulting step count.
-            if not f0 < ft:
-                return infeasible
             result = window_exponent(f0, ft, err, opts=opts)
             if result.feasible and quantity == "dstar":
                 budget = link_budget(err, grid.rate_hz, grid.t2_s, result.exponent)
@@ -276,7 +277,7 @@ def _sweep_cell(quantity: str, eps_r: float, eps_g: float, grid: SweepGrid,
         if not result.feasible:
             return infeasible
         return SweepCell(eps_r, eps_g, result.exponent, True)
-    except (InfeasibleError, ValueError):
+    except InfeasibleError:
         return infeasible
 
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import repeater_scaling
+from repeater_scaling import platforms
 from repeater_scaling.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 
 
@@ -112,6 +113,24 @@ class TestSweepCommand:
             "--eps-r", "0:0.05", "--eps-g", "0:0.05:6",
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("quantity, target", [
+        ("lambda", "resource_exponent"),
+        ("lambda-tilde", "window_exponent"),
+    ])
+    def test_value_error_in_a_cell_is_not_infeasibility(self, capsys, monkeypatch,
+                                                        quantity, target):
+        def broken(*args, **kwargs):
+            raise ValueError("programming error")
+
+        monkeypatch.setattr(platforms, target, broken)
+        code, out, err = run_cli(
+            capsys, "sweep", "--quantity", quantity,
+            "--eps-r", "0:0.01:2", "--eps-g", "0.005:0.01:2",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "programming error" in err
 
 
 class TestFstarCommand:

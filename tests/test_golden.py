@@ -92,6 +92,11 @@ def _cases() -> dict[str, list[str]]:
             "simulate", "--levels", str(levels), "--eps-g", "0.01", "--eps-r", "0.01",
             "--trials", "200", "--seed", "7", "--hist-out", "{hist}",
         ]
+    # Past the first block of mc.BLOCK = 4096 trials: pins the key of block 1.
+    cases["simulate-L1-blocks"] = [
+        "simulate", "--levels", "1", "--eps-g", "0.01", "--eps-r", "0.01",
+        "--trials", "4100", "--seed", "7", "--hist-out", "{hist}",
+    ]
     cases["usage-missing-argument"] = ["lambda", "--eps-g", "0.01"]
     cases["usage-dstar-bad-rate"] = ["dstar", "--rate", "0", "--t2", "1", *SIV]
     cases["usage-purify-curve-points"] = ["purify-curve", *SIV, "--points", "1"]

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from repeater_scaling import mc
 from repeater_scaling.analytic import optimal_target_fidelity
 from repeater_scaling.maps import ErrorParams
 from repeater_scaling.mc import SimConfig, histogram_csv, simulate, simulate_counts
@@ -43,10 +45,29 @@ def test_seed_determinism():
 
 
 def test_trial_order_independence():
-    # substreams are keyed by (seed, trial): a longer run extends a shorter one
+    # trials draw in order within blocks keyed by (seed, block): a longer run
+    # extends a shorter one
     short, _ = simulate_counts(1, [0.7], 1.0, trials=50, seed=5)
     longer, _ = simulate_counts(1, [0.7], 1.0, trials=100, seed=5)
     assert longer[:50] == short
+
+
+def test_longer_run_extends_shorter_across_block_boundaries(monkeypatch):
+    monkeypatch.setattr(mc, "BLOCK", 8)
+    short, _ = simulate_counts(1, [0.7], 1.0, trials=13, seed=5)
+    longer, _ = simulate_counts(1, [0.7], 1.0, trials=29, seed=5)
+    assert len(short) == 13
+    assert longer[:13] == short
+
+
+def test_each_block_depends_only_on_seed_and_block(monkeypatch):
+    monkeypatch.setattr(mc, "BLOCK", 8)
+    step_probs, swap_prob, levels, seed = [0.6, 0.8], 0.9, 2, 11
+    counts, aborted = simulate_counts(levels, step_probs, swap_prob, trials=24, seed=seed)
+    assert aborted == 0
+    rng = np.random.default_rng((seed, 1))
+    replay = [mc._trial_consumed(rng, step_probs, swap_prob, levels) for _ in range(8)]
+    assert counts[8:16] == replay
 
 
 def test_abort_guard():
